@@ -7,6 +7,13 @@
 //! other (no SWAPs), one Rydberg pulse per gate. A periodic layout
 //! refinement sweep re-places every qubit against a look-ahead window of
 //! upcoming gates — the cubic term.
+//!
+//! `steps` counts the modelled work behind Table 2 and fig10a: one step
+//! per window gate for every scored cell, as if each cell were scored by
+//! visiting the whole window. The implementation does less: it buckets
+//! each qubit's window partners once per refinement (and the moving
+//! qubit's once per gate) and scores a cell over those partners only, in
+//! window order, so every cost sums the same terms in the same order.
 
 use crate::common::{BaselineOutput, FpqaCompiler, Timeout};
 use std::time::Instant;
@@ -81,8 +88,11 @@ impl FpqaCompiler for Atomique {
         let mut steps: u64 = 0;
         let window = (4 * n).max(8);
         let mut processed_2q = 0usize;
+        // Each qubit's partners in the look-ahead window, in window order.
+        let mut partners: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut a_partners: Vec<usize> = Vec::new();
 
-        for (gi, (is2, qubits)) in gates.iter().enumerate() {
+        for (is2, qubits) in &gates {
             if !is2 {
                 schedule.push(PulseOp::RamanLocal {
                     qubit: qubits[0],
@@ -92,11 +102,24 @@ impl FpqaCompiler for Atomique {
             }
             let (a, b) = (qubits[0], qubits[1]);
             processed_2q += 1;
+            // The look-ahead window: the next `window` two-qubit gates.
+            let ahead = &two_qubit_positions[processed_2q..];
+            let ahead = &ahead[..ahead.len().min(window)];
+            // Every scored cell is charged one step per window gate.
+            let visits = ahead.len() as u64;
 
             // Periodic O(N³) layout refinement: every N two-qubit gates,
             // re-place each qubit into the free cell minimizing distance to
             // its partners in the look-ahead window.
             if processed_2q % (n / 2).max(1) == 0 {
+                partners.iter_mut().for_each(Vec::clear);
+                for &future in ahead {
+                    let fq = &gates[future].1;
+                    partners[fq[0]].push(fq[1]);
+                    if fq[1] != fq[0] {
+                        partners[fq[1]].push(fq[0]);
+                    }
+                }
                 for q in 0..n {
                     let mut best_cell = pos[q];
                     let mut best_cost = f64::MAX;
@@ -104,15 +127,10 @@ impl FpqaCompiler for Atomique {
                         if occupant.is_some() && *occupant != Some(q) {
                             continue;
                         }
+                        steps += visits;
                         let mut cost = dist(pos[q], c) * 0.1;
-                        for &future in two_qubit_positions.iter().filter(|&&p| p > gi).take(window)
-                        {
-                            steps += 1;
-                            let (_, fq) = &gates[future];
-                            if fq.contains(&q) {
-                                let other = if fq[0] == q { fq[1] } else { fq[0] };
-                                cost += dist(c, pos[other]);
-                            }
+                        for &other in &partners[q] {
+                            cost += dist(c, pos[other]);
                         }
                         if cost < best_cost {
                             best_cost = cost;
@@ -134,6 +152,12 @@ impl FpqaCompiler for Atomique {
             // Bring a next to b if they are not neighbours: move a to the
             // free cell adjacent to b with the lowest cost over the window.
             if dist(pos[a], pos[b]) > self.spacing + 1e-9 {
+                a_partners.clear();
+                a_partners.extend(ahead.iter().filter_map(|&future| {
+                    let fq = &gates[future].1;
+                    fq.contains(&a)
+                        .then(|| if fq[0] == a { fq[1] } else { fq[0] })
+                }));
                 let (bx, by) = ((pos[b] % width) as i64, (pos[b] / width) as i64);
                 let mut best: Option<(usize, f64)> = None;
                 for (dx, dy) in [(-1i64, 0i64), (1, 0), (0, -1), (0, 1)] {
@@ -145,14 +169,10 @@ impl FpqaCompiler for Atomique {
                     if cell_of[c].is_some() {
                         continue;
                     }
+                    steps += visits;
                     let mut cost = dist(pos[a], c);
-                    for &future in two_qubit_positions.iter().filter(|&&p| p > gi).take(window) {
-                        steps += 1;
-                        let (_, fq) = &gates[future];
-                        if fq.contains(&a) {
-                            let other = if fq[0] == a { fq[1] } else { fq[0] };
-                            cost += 0.2 * dist(c, pos[other]);
-                        }
+                    for &other in &a_partners {
+                        cost += 0.2 * dist(c, pos[other]);
                     }
                     if best.is_none() || cost < best.unwrap().1 {
                         best = Some((c, cost));

@@ -15,6 +15,13 @@
 //!   `gates × stages`; above [`Dpqa::encoding_cap`] the instance is
 //!   declared timed out, reproducing the paper's 20-hour-timeout behaviour
 //!   at laptop scale (see DESIGN.md for the substitution note).
+//!
+//! `steps` counts the modelled work behind Table 2 and fig10a: the search
+//! nodes visited (plus codegen's steps), not the operations the
+//! implementation performs per node. The search keeps per-vertex colour
+//! counts and saturations up to date as it colours and uncolours, instead
+//! of recomputing them at every node; it visits the same nodes in the same
+//! order either way.
 
 use crate::common::{BaselineOutput, FpqaCompiler, Timeout};
 use std::time::Instant;
@@ -75,13 +82,19 @@ fn branch_and_bound(graph: &ConflictGraph, budget: u64) -> (ClauseColoring, u64,
         return (ClauseColoring::new(Vec::new()), 0, true);
     }
     let heuristic = dsatur(graph);
-    let mut best = heuristic.colors.clone();
-    let mut best_k = heuristic.num_colors;
+    // Every colour the search tries is below the incumbent's count, which
+    // starts at DSatur's and only falls.
+    let k = heuristic.num_colors;
     let clique = greedy_clique(graph);
 
     struct Search<'a> {
         graph: &'a ConflictGraph,
         colors: Vec<usize>,
+        /// `hits[v * k + c]`: coloured neighbours of `v` with colour `c`.
+        hits: Vec<u32>,
+        /// Distinct colours among each vertex's coloured neighbours.
+        saturation: Vec<usize>,
+        k: usize,
         best: Vec<usize>,
         best_k: usize,
         clique: usize,
@@ -90,6 +103,32 @@ fn branch_and_bound(graph: &ConflictGraph, budget: u64) -> (ClauseColoring, u64,
     }
 
     impl Search<'_> {
+        /// Colours `v` with `c` and counts the hit at each neighbour (the
+        /// graph is undirected: the vertices that list `v` as a neighbour
+        /// are `v`'s own neighbours).
+        fn assign(&mut self, v: usize, c: usize) {
+            self.colors[v] = c;
+            for &u in self.graph.neighbors(v) {
+                let hit = &mut self.hits[u * self.k + c];
+                if *hit == 0 {
+                    self.saturation[u] += 1;
+                }
+                *hit += 1;
+            }
+        }
+
+        /// Undoes [`Search::assign`].
+        fn unassign(&mut self, v: usize, c: usize) {
+            self.colors[v] = usize::MAX;
+            for &u in self.graph.neighbors(v) {
+                let hit = &mut self.hits[u * self.k + c];
+                *hit -= 1;
+                if *hit == 0 {
+                    self.saturation[u] -= 1;
+                }
+            }
+        }
+
         /// Returns false when the budget ran out.
         fn branch(&mut self, used: usize) -> bool {
             self.nodes += 1;
@@ -99,24 +138,14 @@ fn branch_and_bound(graph: &ConflictGraph, budget: u64) -> (ClauseColoring, u64,
             if self.best_k == self.clique {
                 return true; // clique bound met: provably optimal
             }
-            // Most saturated uncolored vertex.
-            let n = self.graph.len();
+            // Most saturated uncolored vertex (the first on ties).
             let mut pick = None;
             let mut pick_key = (0usize, 0usize);
-            for v in 0..n {
+            for v in 0..self.graph.len() {
                 if self.colors[v] != usize::MAX {
                     continue;
                 }
-                let mut sat: Vec<usize> = self
-                    .graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|&u| self.colors[u])
-                    .filter(|&c| c != usize::MAX)
-                    .collect();
-                sat.sort_unstable();
-                sat.dedup();
-                let key = (sat.len(), self.graph.degree(v));
+                let key = (self.saturation[v], self.graph.degree(v));
                 if pick.is_none() || key > pick_key {
                     pick = Some(v);
                     pick_key = key;
@@ -129,22 +158,15 @@ fn branch_and_bound(graph: &ConflictGraph, budget: u64) -> (ClauseColoring, u64,
                 }
                 return true;
             };
-            let forbidden: Vec<usize> = self
-                .graph
-                .neighbors(v)
-                .iter()
-                .map(|&u| self.colors[u])
-                .filter(|&c| c != usize::MAX)
-                .collect();
             let max_color = (used + 1).min(self.best_k.saturating_sub(1));
             for c in 0..max_color {
-                if forbidden.contains(&c) {
+                let new_used = used.max(c + 1);
+                if self.hits[v * self.k + c] > 0 || new_used >= self.best_k {
                     continue;
                 }
-                self.colors[v] = c;
-                let new_used = used.max(c + 1);
-                let ok = new_used >= self.best_k || self.branch(new_used);
-                self.colors[v] = usize::MAX;
+                self.assign(v, c);
+                let ok = self.branch(new_used);
+                self.unassign(v, c);
                 if !ok {
                     return false;
                 }
@@ -156,21 +178,22 @@ fn branch_and_bound(graph: &ConflictGraph, budget: u64) -> (ClauseColoring, u64,
     let mut search = Search {
         graph,
         colors: vec![usize::MAX; n],
-        best: std::mem::take(&mut best),
-        best_k,
+        hits: vec![0; n * k],
+        saturation: vec![0; n],
+        k,
+        best: heuristic.colors,
+        best_k: k,
         clique,
         nodes: 0,
         budget,
     };
     let proven = search.branch(0);
-    best = search.best;
-    best_k = search.best_k;
     debug_assert_eq!(
-        best_k,
-        best.iter().copied().max().map_or(0, |m| m + 1),
+        search.best_k,
+        search.best.iter().copied().max().map_or(0, |m| m + 1),
         "branch-and-bound colors are dense"
     );
-    (ClauseColoring::new(best), search.nodes, proven)
+    (ClauseColoring::new(search.best), search.nodes, proven)
 }
 
 fn greedy_clique(graph: &ConflictGraph) -> usize {

@@ -7,7 +7,8 @@
 //!    {1, 2, 4}: wall seconds, points/sec, speedup over one worker, and
 //!    parallel efficiency. The ≥ 1.8× @ 4-workers acceptance gate only
 //!    applies on machines with ≥ 4 cores; the JSON records the detected
-//!    core count so the guard can tell.
+//!    core count (`available_parallelism`) next to the rows so the guard
+//!    can tell.
 //! 2. **SABRE routing** — the optimized [`weaver_superconducting::sabre::route`]
 //!    against the preserved reference implementation
 //!    ([`sabre::route_reference`]) on ≥ 100-variable QAOA circuits routed
@@ -208,13 +209,12 @@ fn bench_coloring(vars: usize, samples: usize) -> HotPathBench {
 
 /// Renders the report as the `BENCH_figures.json` document.
 pub fn to_json(report: &FiguresBenchReport, samples: usize) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"suite\": \"figures_batch\",\n");
     s.push_str("  \"metric\": \"wall_seconds\",\n");
     s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"threads\": {threads},\n"));
     s.push_str(&format!(
         "  \"sizes\": [{}],\n",
         report
@@ -246,6 +246,8 @@ pub fn to_json(report: &FiguresBenchReport, samples: usize) -> String {
     s.push_str(&cells.join(","));
     s.push_str(" },\n");
 
+    // The scaling rows only mean something against the host's core count.
+    s.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     s.push_str("  \"scaling\": [\n");
     for (i, row) in report.scaling.iter().enumerate() {
         let comma = if i + 1 == report.scaling.len() {
@@ -303,6 +305,7 @@ mod tests {
         let json = to_json(&report, 1);
         assert!(json.contains("\"figures_batch\""));
         assert!(json.contains("\"scaling\""));
+        assert!(json.contains("\"available_parallelism\""));
         assert!(json.contains("\"sabre_speedup\""));
         assert!(json.contains("\"coloring_speedup\""));
         assert!(json.contains("\"pass_self_seconds\""));

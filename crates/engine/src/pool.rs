@@ -99,8 +99,10 @@ where
         .collect()
 }
 
-/// Steals one job from the back of the fullest deque other than `me`.
-fn steal<T>(queues: &[Mutex<VecDeque<(usize, T)>>], me: usize) -> Option<(usize, T)> {
+/// Steals one item from the back of the fullest deque other than `me`.
+/// The caller must not hold any queue's guard: two workers that each held
+/// their own while stealing from the other would wait on each other.
+fn steal<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
     let mut victim: Option<usize> = None;
     let mut longest = 0usize;
     for (w, queue) in queues.iter().enumerate() {
@@ -273,10 +275,10 @@ impl<T> Drop for ServicePool<T> {
 
 fn service_worker<T>(me: usize, inner: &ServiceInner<T>, run: &(dyn Fn(T) + Send + Sync)) {
     loop {
-        let next = lock_poison_ok(&inner.queues[me])
-            .pop_front()
-            .or_else(|| steal_service(&inner.queues, me));
-        match next {
+        // Own deque first, in a statement of its own so its guard is
+        // dropped before `steal` locks the others.
+        let next = lock_poison_ok(&inner.queues[me]).pop_front();
+        match next.or_else(|| steal(&inner.queues, me)) {
             Some(item) => {
                 inner.queued.fetch_sub(1, Ordering::SeqCst);
                 run(item);
@@ -301,23 +303,6 @@ fn service_worker<T>(me: usize, inner: &ServiceInner<T>, run: &(dyn Fn(T) + Send
     }
 }
 
-/// Steals one item from the back of the fullest deque other than `me`.
-fn steal_service<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
-    let mut victim: Option<usize> = None;
-    let mut longest = 0usize;
-    for (w, queue) in queues.iter().enumerate() {
-        if w == me {
-            continue;
-        }
-        let len = lock_poison_ok(queue).len();
-        if len > longest {
-            longest = len;
-            victim = Some(w);
-        }
-    }
-    lock_poison_ok(&queues[victim?]).pop_back()
-}
-
 /// Pops one item from any non-empty deque.
 fn pop_any<T>(queues: &[Mutex<VecDeque<T>>]) -> Option<T> {
     queues.iter().find_map(|q| lock_poison_ok(q).pop_front())
@@ -327,6 +312,7 @@ fn pop_any<T>(queues: &[Mutex<VecDeque<T>>]) -> Option<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn results_are_in_submission_order() {
@@ -430,6 +416,51 @@ mod tests {
         }
         pool.drain();
         assert_eq!(done.load(Ordering::SeqCst), accepted);
+    }
+
+    #[test]
+    fn a_stealing_service_worker_does_not_hold_its_own_queue() {
+        // Regression: a worker used to pop its own deque and steal in one
+        // statement, keeping its own queue's guard while it locked the
+        // other's, so two idle workers stealing at once waited on each
+        // other forever. Here the test plays the second worker: it holds
+        // the other queue while the first finishes its item and goes to
+        // steal, and meanwhile keeps taking the first worker's queue.
+        let (done_tx, done_rx) = mpsc::channel();
+        let test = std::thread::spawn(move || {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let release_rx = Mutex::new(release_rx);
+            let pool = ServicePool::new(2, 8, move |()| {
+                let name = std::thread::current().name().map(str::to_owned);
+                started_tx.send(name).unwrap();
+                lock_poison_ok(&release_rx).recv().unwrap();
+            });
+            pool.submit(()).unwrap();
+            let me = match started_rx.recv().unwrap().as_deref() {
+                Some("weaver-service-0") => 0,
+                Some("weaver-service-1") => 1,
+                other => panic!("unexpected worker thread {other:?}"),
+            };
+            let other_queue = lock_poison_ok(&pool.inner.queues[1 - me]);
+            release_tx.send(()).unwrap();
+            // The worker now finds its deque empty and blocks stealing
+            // from the queue held here. Its own queue must stay free all
+            // the while: keep taking it, yielding so the worker gets to
+            // run between attempts.
+            for _ in 0..10_000 {
+                drop(lock_poison_ok(&pool.inner.queues[me]));
+                std::thread::yield_now();
+            }
+            drop(other_queue);
+            pool.drain();
+            done_tx.send(()).unwrap();
+        });
+        // A deadlocked test thread never signals; it is not joined then.
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a stealing worker kept its own queue locked");
+        test.join().unwrap();
     }
 
     #[test]
