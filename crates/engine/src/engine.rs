@@ -12,9 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use weaver_core::cache::CacheStats;
-use weaver_core::{CodegenOptions, FrontendRegistry, Weaver, Workload};
+use weaver_core::{FrontendRegistry, Workload};
 use weaver_obs::{log, metrics, span, Counter, Histogram};
-use weaver_sat::qaoa::QaoaParams;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -106,7 +105,6 @@ impl BatchReport {
             .u64("wal_replayed", self.tier_stats.wal_replayed)
             .u64("recoveries", self.tier_stats.recoveries)
             .u64("buffer_evictions", self.tier_stats.buffer_evictions)
-            .u64("migrated_legacy", self.tier_stats.migrated_legacy)
             .finish();
         let core = JsonObject::new()
             .u64("checker_hits", self.core_stats.checker_hits)
@@ -257,10 +255,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine. If the configured disk tier cannot be created the
-    /// engine degrades to memory-only caching: a warning goes to stderr and
-    /// every batch record it emits carries `disk_disabled` with the reason
-    /// (use [`Engine::try_new`] to make that an error instead).
+    /// Builds an engine. If the configured disk tier cannot be opened — a
+    /// store another live process holds included — the engine degrades to
+    /// memory-only caching: a warning goes to stderr and every batch
+    /// record it emits carries `disk_disabled` with the reason (use
+    /// [`Engine::try_new`] to make that an error instead).
     pub fn new(config: EngineConfig) -> Self {
         match Engine::try_new(config.clone()) {
             Ok(engine) => engine,
@@ -440,7 +439,9 @@ impl Engine {
     }
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
+/// The text of a caught panic payload (`&str` or `String`), for
+/// structured error records and logs.
+pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -481,25 +482,15 @@ fn load_workload(source: &JobSource, frontend: Option<&str>) -> Result<Workload,
 
 /// Compiles one job (already parsed); returns the artifact and the seconds
 /// spent in the wChecker. Every target dispatches through the shared
-/// [`BackendRegistry`], and the construction mirrors `weaverc`'s
-/// single-shot path exactly, so batch output is byte-identical to
-/// sequential runs.
+/// [`BackendRegistry`], and the compiler comes from
+/// [`JobOptions::weaver`](crate::JobOptions::weaver), as in `weaverc`'s
+/// single-shot path, so batch output is byte-identical to sequential runs.
 fn compile_job(
     job: &CompileJob,
     workload: &Workload,
     core_cache: Option<&weaver_core::cache::CacheHandle>,
 ) -> Result<(Artifact, f64), JobError> {
-    let options = CodegenOptions {
-        compression: job.options.compression,
-        parallel_shuttling: job.options.parallel_shuttling,
-        dsatur: job.options.dsatur,
-        qaoa: QaoaParams::single(job.options.gamma, job.options.beta),
-        measure: true,
-        ..CodegenOptions::default()
-    };
-    let weaver = Weaver::new()
-        .with_fpqa_params(job.options.fpqa_params())
-        .with_options(options);
+    let weaver = job.options.weaver();
     let output = weaver
         .compile_workload_cached(job.target.name(), workload, core_cache)
         .map_err(|e| JobError {

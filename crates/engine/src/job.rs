@@ -5,8 +5,9 @@
 use std::fmt;
 use std::path::PathBuf;
 use weaver_core::cache::{fingerprint_fpqa_params, Digest, Fingerprint, COMPILER_VERSION};
-use weaver_core::{Metrics, Workload};
+use weaver_core::{CodegenOptions, Metrics, Weaver, Workload};
 use weaver_fpqa::FpqaParams;
+use weaver_sat::qaoa::QaoaParams;
 use weaver_sat::Formula;
 
 /// Compilation backend of a job. The names and aliases mirror the
@@ -139,6 +140,22 @@ impl JobOptions {
             Some(f) => params.with_ccz_fidelity(f),
             None => params,
         }
+    }
+
+    /// The compiler these options configure. Batch jobs and `weaverc`'s
+    /// single-shot path both build their compiler here, so the same
+    /// options compile to the same bytes on either path.
+    pub fn weaver(&self) -> Weaver {
+        Weaver::new()
+            .with_fpqa_params(self.fpqa_params())
+            .with_options(CodegenOptions {
+                compression: self.compression,
+                parallel_shuttling: self.parallel_shuttling,
+                dsatur: self.dsatur,
+                qaoa: QaoaParams::single(self.gamma, self.beta),
+                measure: true,
+                ..CodegenOptions::default()
+            })
     }
 }
 

@@ -18,9 +18,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Locks a mutex, recovering the guard if a panicking holder poisoned it —
-/// pool queues stay structurally valid across a payload panic.
-fn lock_poison_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks a mutex, recovering the guard if a panicking holder poisoned it.
+/// Every mutex in the engine guards state that stays structurally valid
+/// across a panic — pool queues, connection maps, cache tiers and
+/// counters — so a panic in one job or connection never wedges the rest.
+pub(crate) fn lock_poison_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

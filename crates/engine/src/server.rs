@@ -29,10 +29,10 @@
 //! tiers, [`crate::store::StoreStats`] introspection, queue depth, and a
 //! full Prometheus metrics snapshot.
 
-use crate::engine::job_record_fields;
+use crate::engine::{job_record_fields, panic_message};
 use crate::job::{CompileJob, JobSource, Target};
 use crate::jsonl::{JsonObject, JsonValue};
-use crate::pool::{ServicePool, SubmitError};
+use crate::pool::{lock_poison_ok, ServicePool, SubmitError};
 use crate::Engine;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -348,12 +348,6 @@ struct Shared {
     queue_bound: usize,
 }
 
-/// Locks a mutex, recovering from a poisoned guard (the maps it protects
-/// stay structurally valid across a handler panic).
-fn lock_poison_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// The compile daemon: owns the engine, the bounded worker pool, and the
 /// listening socket. Built with [`Server::bind`]; [`Server::serve`] blocks
 /// until a shutdown is requested and drains before returning.
@@ -556,7 +550,7 @@ fn handle_connection(
                 "weaver-server",
                 &format!(
                     "connection {conn_id} handler panicked (contained): {}",
-                    panic_text(&panic)
+                    panic_message(&panic)
                 ),
             );
         }
@@ -569,16 +563,6 @@ fn handle_connection(
     lock_poison_ok(&shared.conns).remove(&conn_id);
     shared.metrics.connections_active.add(-1.0);
     span::flush_thread();
-}
-
-fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
 }
 
 /// Reads frames until the client closes, a framing error, or shutdown
@@ -795,7 +779,6 @@ fn stats_record(shared: &Shared, pool: &ServicePool<Queued>, id: Option<u64>) ->
         .u64("misses", tier.misses)
         .u64("evictions", tier.evictions)
         .u64("disk_write_errors", tier.disk_write_errors)
-        .u64("migrated_legacy", tier.migrated_legacy)
         .finish();
     let store = match shared.engine.cache().store_stats() {
         Some(s) => JsonObject::new()

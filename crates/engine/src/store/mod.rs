@@ -1,8 +1,8 @@
 //! A durable, crash-consistent, single-file paged artifact store.
 //!
-//! This is the disk tier behind [`crate::ArtifactCache`]: instead of one
-//! best-effort file per artifact, all artifacts live in one page file
-//! (`store.wvs`) guarded by a write-ahead log (`store.wal`). Every
+//! This is the disk tier behind [`crate::ArtifactCache`]: all artifacts
+//! live in one page file (`store.wvs`) guarded by a write-ahead log
+//! (`store.wal`). Every
 //! mutation follows the WAL protocol — *append record → fsync WAL →
 //! apply to pages → (eventually) checkpoint* — so the store survives
 //! being killed at any byte:
@@ -258,7 +258,7 @@ enum Liveness {
     /// No probe is possible (non-Linux, or `/proc` not mounted). Treated
     /// as *live*: wrongly stealing a live holder's lock races the WAL and
     /// corrupts the store, while wrongly respecting a dead holder's lock
-    /// merely degrades this opener to the legacy tier.
+    /// merely runs this opener memory-only.
     Unknown,
 }
 

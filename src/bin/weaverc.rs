@@ -72,12 +72,10 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 use weaver::core::backend::{BackendErrorKind, BackendRegistry, CompiledArtifact};
-use weaver::core::{CodegenOptions, FrontendRegistry, Weaver, Workload};
+use weaver::core::{FrontendRegistry, Workload};
 use weaver::engine::{
     discover_jobs, job_record, CacheConfig, Engine, EngineConfig, JobOptions, Target,
 };
-use weaver::fpqa::FpqaParams;
-use weaver::sat::qaoa::QaoaParams;
 
 struct Args {
     input: String,
@@ -295,6 +293,20 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("`weaverc submit` requires --server\n{}", usage()));
     }
     Ok(args)
+}
+
+/// The job options the compile flags select; single-shot, batch and
+/// submit all read their flags through here.
+fn job_options(args: &Args) -> JobOptions {
+    JobOptions {
+        compression: args.compression,
+        parallel_shuttling: args.parallel_shuttling,
+        dsatur: args.dsatur,
+        ccz_fidelity: args.ccz_fidelity,
+        gamma: args.gamma,
+        beta: args.beta,
+        check: args.check,
+    }
 }
 
 fn main() -> ExitCode {
@@ -553,15 +565,7 @@ fn run_submit(args: &Args) -> ExitCode {
         Ok(t) => t,
         Err(e) => return error_line("unknown-target", &e),
     };
-    let defaults = JobOptions {
-        compression: args.compression,
-        parallel_shuttling: args.parallel_shuttling,
-        dsatur: args.dsatur,
-        ccz_fidelity: args.ccz_fidelity,
-        gamma: args.gamma,
-        beta: args.beta,
-        check: args.check,
-    };
+    let defaults = job_options(args);
     let registry = FrontendRegistry::global();
     if let Some(name) = &args.frontend {
         if registry.get(name).is_none() {
@@ -818,15 +822,7 @@ fn run_batch(args: &Args) -> ExitCode {
         Ok(t) => t,
         Err(e) => return error_line("unknown-target", &e),
     };
-    let defaults = JobOptions {
-        compression: args.compression,
-        parallel_shuttling: args.parallel_shuttling,
-        dsatur: args.dsatur,
-        ccz_fidelity: args.ccz_fidelity,
-        gamma: args.gamma,
-        beta: args.beta,
-        check: args.check,
-    };
+    let defaults = job_options(args);
     if let Some(name) = &args.frontend {
         if FrontendRegistry::global().get(name).is_none() {
             return error_line(
@@ -845,15 +841,19 @@ fn run_batch(args: &Args) -> ExitCode {
             job.frontend = Some(name.clone());
         }
     }
-    let engine = match Engine::try_new(EngineConfig {
+    let config = EngineConfig {
         jobs: args.jobs,
         cache: CacheConfig {
             disk_dir: args.cache_dir.as_ref().map(Into::into),
             ..CacheConfig::default()
         },
         use_cache: args.use_cache,
-    }) {
+    };
+    let engine = match Engine::try_new(config.clone()) {
         Ok(engine) => engine,
+        // Another live process holds the store: run memory-only, with
+        // `disk_disabled` and the reason in the batch record.
+        Err(e) if weaver::engine::store::is_locked(&e) => Engine::new(config),
         Err(e) => return error_line("io", &format!("cannot open cache dir: {e}")),
     };
     if let Some(dir) = &args.out_dir {
@@ -870,7 +870,11 @@ fn run_batch(args: &Args) -> ExitCode {
         if engine.workers() == 1 { "" } else { "s" },
         if !args.use_cache {
             "off".to_string()
-        } else if let Some(dir) = &args.cache_dir {
+        } else if let Some(dir) = args
+            .cache_dir
+            .as_ref()
+            .filter(|_| engine.cache().store_stats().is_some())
+        {
             format!("memory + disk at {dir}")
         } else {
             "memory".to_string()
@@ -1059,19 +1063,7 @@ fn run_single(args: &Args) -> ExitCode {
         front.info().name
     );
 
-    let mut params = FpqaParams::default();
-    if let Some(f) = args.ccz_fidelity {
-        params = params.with_ccz_fidelity(f);
-    }
-    let options = CodegenOptions {
-        compression: args.compression,
-        parallel_shuttling: args.parallel_shuttling,
-        dsatur: args.dsatur,
-        qaoa: QaoaParams::single(args.gamma, args.beta),
-        measure: true,
-        ..CodegenOptions::default()
-    };
-    let weaver = Weaver::new().with_fpqa_params(params).with_options(options);
+    let weaver = job_options(args).weaver();
 
     // One dispatch site: the backend registry resolves the target name (or
     // alias) and compiles; per-target reporting reads the artifact variant.

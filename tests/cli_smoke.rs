@@ -469,6 +469,50 @@ fn batch_wqasm_matches_single_shot_output() {
 }
 
 #[test]
+fn batch_on_a_held_store_runs_memory_only_and_writes_nothing() {
+    use weaver::engine::store::{Store, StoreTuning};
+    let dir = std::env::temp_dir().join(format!("weaverc_batch_held_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // This process is the store's live writer for the whole batch.
+    let store = Store::open(&dir, StoreTuning::default()).expect("open store");
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    let out = weaverc()
+        .args([
+            "batch",
+            fixtures_dir().as_str(),
+            "--jobs",
+            "2",
+            "--cache-dir",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout.lines().last().unwrap_or_default();
+    assert!(summary.contains("\"disk_disabled\":true"), "{summary}");
+    assert_eq!(
+        listing(),
+        before,
+        "the batch wrote nothing beside the store"
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn batch_compiles_a_mixed_target_manifest() {
     // Miniature of tests/fixtures/mixed-targets.manifest (which CI runs
     // with the release binary): one small workload fanned across all three

@@ -1,12 +1,13 @@
-//! Conformance tests for the `weaver-obs` observability layer (ISSUE 8
-//! acceptance criteria): span nesting across the work-stealing pool with
-//! worker-thread attribution, Chrome-trace export shape (validated with a
-//! hand-written mini JSON parser — no serde in this workspace), metrics
-//! snapshot round-trips, disabled-tracing overhead, and a differential
-//! test proving tracing does not change artifact bytes.
+//! Conformance tests for the `weaver-obs` observability layer: span
+//! nesting across the work-stealing pool with worker-thread attribution,
+//! Chrome-trace and JSONL export shape (validated with
+//! `JsonValue::parse`, the parser the daemon uses for untrusted input),
+//! metrics snapshot round-trips, disabled-tracing overhead, and a
+//! differential test proving tracing does not change artifact bytes.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use weaver::engine::jsonl::JsonValue;
 use weaver::engine::{CompileJob, Engine, EngineConfig};
 use weaver::obs::{metrics, span};
 use weaver::sat::generator;
@@ -99,203 +100,8 @@ fn pass_spans_nest_under_job_spans_with_worker_attribution() {
 }
 
 // ---------------------------------------------------------------------------
-// Chrome trace export shape (mini JSON parser, no serde)
+// Chrome trace and JSONL export shape
 // ---------------------------------------------------------------------------
-
-/// A minimal JSON value for validating the Chrome export.
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Hand-written recursive-descent JSON parser — enough to validate the
-/// trace export without pulling a serde dependency into the workspace.
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("non-string key {other:?}")),
-                };
-                expect(b, pos, b':')?;
-                map.insert(key, parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut out = String::new();
-            loop {
-                match b.get(*pos) {
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(out));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5])
-                                    .map_err(|e| e.to_string())?;
-                                let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(cp).ok_or("bad \\u escape")?);
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 passes through untouched.
-                        let len = match c {
-                            0x00..=0x7F => 1,
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        out.push_str(
-                            std::str::from_utf8(&b[*pos..*pos + len]).map_err(|e| e.to_string())?,
-                        );
-                        *pos += len;
-                    }
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        None => Err("empty input".into()),
-    }
-}
 
 #[test]
 fn chrome_trace_is_valid_json_with_required_event_fields() {
@@ -308,43 +114,55 @@ fn chrome_trace_is_valid_json_with_required_event_fields() {
     }
     span::set_enabled(false);
     let trace = span::take();
-    let doc = parse_json(&trace.chrome_json()).expect("chrome export parses as JSON");
+    let doc = JsonValue::parse(&trace.chrome_json()).expect("chrome export parses as JSON");
 
     let events = doc
         .get("traceEvents")
-        .and_then(Json::as_arr)
+        .and_then(JsonValue::as_array)
         .expect("top-level traceEvents array");
     let complete: Vec<_> = events
         .iter()
         .filter(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("X")
-                && e.get("cat").and_then(Json::as_str) == Some("obsconf-chrome")
+            e.get("ph").and_then(JsonValue::as_str) == Some("X")
+                && e.get("cat").and_then(JsonValue::as_str) == Some("obsconf-chrome")
         })
         .collect();
     assert_eq!(complete.len(), 2, "both spans exported as complete events");
     for event in &complete {
-        assert!(event.get("ts").and_then(Json::as_num).is_some(), "ts");
-        assert!(event.get("dur").and_then(Json::as_num).is_some(), "dur");
-        assert!(event.get("tid").and_then(Json::as_num).is_some(), "tid");
-        assert!(event.get("pid").and_then(Json::as_num).is_some(), "pid");
-        assert!(event.get("name").and_then(Json::as_str).is_some(), "name");
+        assert!(event.get("ts").and_then(JsonValue::as_f64).is_some(), "ts");
+        assert!(
+            event.get("dur").and_then(JsonValue::as_f64).is_some(),
+            "dur"
+        );
+        assert!(
+            event.get("tid").and_then(JsonValue::as_f64).is_some(),
+            "tid"
+        );
+        assert!(
+            event.get("pid").and_then(JsonValue::as_f64).is_some(),
+            "pid"
+        );
+        assert!(
+            event.get("name").and_then(JsonValue::as_str).is_some(),
+            "name"
+        );
     }
     let outer = complete
         .iter()
-        .find(|e| e.get("name").and_then(Json::as_str) == Some("outer \"quoted\" name"))
+        .find(|e| e.get("name").and_then(JsonValue::as_str) == Some("outer \"quoted\" name"))
         .expect("escaped name round-trips through the export");
     let inner = complete
         .iter()
-        .find(|e| e.get("name").and_then(Json::as_str) == Some("inner"))
+        .find(|e| e.get("name").and_then(JsonValue::as_str) == Some("inner"))
         .expect("inner event");
     assert_eq!(
         inner
             .get("args")
             .and_then(|a| a.get("parent"))
-            .and_then(Json::as_str),
+            .and_then(JsonValue::as_str),
         outer
             .get("id")
-            .and_then(Json::as_num)
+            .and_then(JsonValue::as_f64)
             .map(|id| id.to_string())
             .as_deref(),
         "args.parent links the child to its parent span id"
@@ -353,17 +171,17 @@ fn chrome_trace_is_valid_json_with_required_event_fields() {
         inner
             .get("args")
             .and_then(|a| a.get("k"))
-            .and_then(Json::as_str),
+            .and_then(JsonValue::as_str),
         Some("42")
     );
     // Metadata events name the process and at least one thread.
     assert!(events.iter().any(|e| {
-        e.get("ph").and_then(Json::as_str) == Some("M")
-            && e.get("name").and_then(Json::as_str) == Some("process_name")
+        e.get("ph").and_then(JsonValue::as_str) == Some("M")
+            && e.get("name").and_then(JsonValue::as_str) == Some("process_name")
     }));
     assert!(events.iter().any(|e| {
-        e.get("ph").and_then(Json::as_str) == Some("M")
-            && e.get("name").and_then(Json::as_str) == Some("thread_name")
+        e.get("ph").and_then(JsonValue::as_str) == Some("M")
+            && e.get("name").and_then(JsonValue::as_str) == Some("thread_name")
     }));
 }
 
@@ -382,10 +200,10 @@ fn jsonl_export_is_one_json_object_per_line() {
     let trace = span::take();
     let mut seen = 0;
     for line in trace.to_jsonl().lines() {
-        let obj = parse_json(line).expect("every JSONL line parses");
-        if obj.get("cat").and_then(Json::as_str) == Some("obsconf-jsonl") {
-            assert!(obj.get("start_us").and_then(Json::as_num).is_some());
-            assert!(obj.get("dur_us").and_then(Json::as_num).is_some());
+        let obj = JsonValue::parse(line).expect("every JSONL line parses");
+        if obj.get("cat").and_then(JsonValue::as_str) == Some("obsconf-jsonl") {
+            assert!(obj.get("start_us").and_then(JsonValue::as_f64).is_some());
+            assert!(obj.get("dur_us").and_then(JsonValue::as_f64).is_some());
             seen += 1;
         }
     }
