@@ -1,5 +1,5 @@
 //! Criterion benches for the state-vector kernels: the specialized dispatch
-//! in `State::apply` and the contiguous `UnitaryBuilder` versus the seed's
+//! in `State::apply` and the fused `UnitaryBuilder` versus the seed's
 //! generic gather/scatter path (`State::apply_reference`). Mirrors the
 //! tracked `BENCH_simulator.json` baseline emitted by `figures bench-sim`.
 

@@ -1,6 +1,6 @@
 //! Micro-benchmark harness for the state-vector kernels.
 //!
-//! Times the specialized dispatch in [`State::apply`] and the contiguous
+//! Times the specialized dispatch in [`State::apply`] and the fused
 //! [`UnitaryBuilder`] against the seed's generic gather/scatter loop
 //! ([`State::apply_reference`]) on the workloads that dominate the
 //! wChecker's unitary-equivalence pass, and renders the result as the

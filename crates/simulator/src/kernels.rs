@@ -1,66 +1,163 @@
 //! Stride-based gate-application kernels.
 //!
-//! [`State::apply`](crate::State::apply) and
-//! [`UnitaryBuilder::apply`](crate::UnitaryBuilder::apply) both funnel into
-//! the crate-internal `apply_gate`, which classifies the gate matrix once
-//! per application and dispatches to an allocation-free closed-form kernel:
+//! A crate-internal `Kernel` is a gate classified once and bound to its bit
+//! positions, so it can run over any number of buffers.
+//! [`State::apply`](crate::State::apply) builds one kernel per gate
+//! application (the crate-internal `apply_gate`);
+//! [`UnitaryBuilder::finish`](crate::UnitaryBuilder::finish) builds a whole
+//! plan of them once and runs it block by block. The allocation-free
+//! closed forms are:
 //!
 //! * **1-qubit** gates run a butterfly over amplitude pairs `(i, i + 2^b)`,
 //! * **2-qubit** gates run a 4-way butterfly over the four strided indices of
 //!   each group,
 //! * **(multi-)controlled 1-qubit** gates (`CX`, `CZ`, `CCZ`, `CⁿZ`, `CRZ`,
 //!   …) touch only the half-space where every control bit is set,
+//! * a **phase table** (diagonal) or **permutation-plus-phase table** over
+//!   the low `n` index bits applies a fused run of monomial gates in one
+//!   pass (only the `UnitaryBuilder` plan emits these),
 //! * everything else falls back to a generic gather/scatter with per-group
 //!   offsets hoisted out of the inner loop.
 //!
 //! All kernels operate on a raw amplitude slice plus bit positions, so the
-//! same code serves a `2ⁿ`-amplitude state vector and the `2ⁿ × 2ⁿ`
-//! column-major buffer of [`UnitaryBuilder`](crate::UnitaryBuilder) (where
-//! the column index contributes extra untouched high bits). Buffers with at
-//! least [`PAR_MIN_AMPLITUDES`] entries are split into self-contained
-//! aligned chunks and processed by scoped threads.
+//! same code serves a `2ⁿ`-amplitude state vector and a block of several
+//! `2ⁿ`-amplitude vectors laid end to end (the extra high index bits are
+//! left untouched). `apply_gate` splits buffers with at least
+//! [`PAR_MIN_AMPLITUDES`] entries into self-contained aligned chunks and
+//! processes them with scoped threads.
 
 use crate::{Complex, Matrix};
 
-/// Minimum amplitude count before gate application fans out across threads.
+/// Minimum amplitude count before a single gate application fans out
+/// across threads.
 ///
-/// `2^16` amplitudes correspond to a 16-qubit register (or an 8-qubit
-/// `UnitaryBuilder`); below that the per-thread spawn cost dominates.
+/// `2^16` amplitudes correspond to a 16-qubit register; below that the
+/// per-thread spawn cost dominates. (The `UnitaryBuilder` does not use this
+/// threshold: it splits its row blocks across threads once per build.)
 pub const PAR_MIN_AMPLITUDES: usize = 1 << 16;
 
-/// How a gate matrix will be applied, decided once per application.
-enum Kernel {
-    /// Arbitrary 2×2 gate, row-major.
-    OneQ([Complex; 4]),
-    /// Arbitrary 4×4 gate, row-major.
-    TwoQ(Box<[Complex; 16]>),
-    /// Identity except the bottom-right 2×2 block: a 1-qubit gate under
-    /// `k - 1` controls. Carries the 2×2 block.
-    Controlled([Complex; 4]),
-    /// No specialized shape; use the gather/scatter fallback.
-    Generic,
+/// A gate bound to its bit positions, classified once for dispatch.
+///
+/// Bit positions count from the LSB of the buffer index; for a `k`-qubit
+/// gate the first listed bit is the most significant bit of the gate's own
+/// index space.
+pub(crate) enum Kernel {
+    /// Arbitrary 2×2 gate (row-major) on one bit.
+    OneQ { bit: usize, m: [Complex; 4] },
+    /// Arbitrary 4×4 gate (row-major); `b0` carries the gate's most
+    /// significant target.
+    TwoQ {
+        b0: usize,
+        b1: usize,
+        m: Box<[Complex; 16]>,
+    },
+    /// Identity except the bottom-right 2×2 block `m`: a 1-qubit gate on
+    /// `tbit` under the control bits in `cmask`.
+    Controlled {
+        cmask: usize,
+        tbit: usize,
+        m: [Complex; 4],
+    },
+    /// No specialized shape: the gather/scatter fallback over the
+    /// row-major `gate`.
+    Generic {
+        gate: Vec<Complex>,
+        sorted_bits: Vec<usize>,
+        offsets: Vec<usize>,
+    },
+    /// Every aligned run of `phase.len()` amplitudes is scaled entry-wise
+    /// by `phase`.
+    Diagonal { phase: Vec<Complex> },
+    /// Within every aligned run of `phase.len()` amplitudes,
+    /// `out[y] = phase[y] · in[src[y]]`.
+    Permutation {
+        src: Vec<usize>,
+        phase: Vec<Complex>,
+    },
 }
 
-/// Classifies `gate` (a `2^k × 2^k` matrix) for dispatch.
-fn classify(gate: &Matrix, k: usize) -> Kernel {
-    match k {
-        1 => {
-            let g = gate.as_slice();
-            Kernel::OneQ([g[0], g[1], g[2], g[3]])
-        }
-        2 => match controlled_block(gate) {
-            Some(block) => Kernel::Controlled(block),
-            None => {
-                let mut m = [Complex::ZERO; 16];
-                m.copy_from_slice(gate.as_slice());
-                Kernel::TwoQ(Box::new(m))
+impl Kernel {
+    /// Classifies `gate` (a `2^k × 2^k` matrix) acting on `bits`.
+    pub(crate) fn for_gate(gate: &Matrix, bits: &[usize]) -> Kernel {
+        let k = bits.len();
+        let controlled = |m: [Complex; 4]| Kernel::Controlled {
+            cmask: bits[..k - 1].iter().map(|&b| 1usize << b).sum(),
+            tbit: bits[k - 1],
+            m,
+        };
+        let generic = || {
+            let mut sorted_bits = bits.to_vec();
+            sorted_bits.sort_unstable();
+            Kernel::Generic {
+                gate: gate.as_slice().to_vec(),
+                sorted_bits,
+                offsets: group_offsets(bits),
             }
-        },
-        _ if k >= 3 => match controlled_block(gate) {
-            Some(block) => Kernel::Controlled(block),
-            None => Kernel::Generic,
-        },
-        _ => Kernel::Generic, // k == 0: a 1×1 global-phase "gate"
+        };
+        match k {
+            0 => generic(), // a 1×1 global-phase "gate"
+            1 => {
+                let g = gate.as_slice();
+                Kernel::OneQ {
+                    bit: bits[0],
+                    m: [g[0], g[1], g[2], g[3]],
+                }
+            }
+            2 => match controlled_block(gate) {
+                Some(block) => controlled(block),
+                None => {
+                    let mut m = [Complex::ZERO; 16];
+                    m.copy_from_slice(gate.as_slice());
+                    Kernel::TwoQ {
+                        b0: bits[0],
+                        b1: bits[1],
+                        m: Box::new(m),
+                    }
+                }
+            },
+            _ => controlled_block(gate).map_or_else(generic, controlled),
+        }
+    }
+
+    /// A permutation-plus-phase table over the low index bits (see
+    /// [`Kernel::Permutation`]); an identity `src` becomes a
+    /// [`Kernel::Diagonal`].
+    pub(crate) fn phase_table(src: Vec<usize>, phase: Vec<Complex>) -> Kernel {
+        debug_assert_eq!(src.len(), phase.len());
+        if src.iter().enumerate().all(|(y, &x)| x == y) {
+            Kernel::Diagonal { phase }
+        } else {
+            Kernel::Permutation { src, phase }
+        }
+    }
+
+    /// Applies the kernel to `amps` on the calling thread. `scratch` is
+    /// working space the caller may reuse across calls.
+    pub(crate) fn run(&self, amps: &mut [Complex], scratch: &mut Vec<Complex>) {
+        match self {
+            Kernel::OneQ { bit, m } => kernel_1q(amps, *bit, m),
+            Kernel::TwoQ { b0, b1, m } => kernel_2q(amps, *b0, *b1, m),
+            Kernel::Controlled { cmask, tbit, m } => kernel_controlled(amps, *cmask, *tbit, m),
+            Kernel::Generic {
+                gate,
+                sorted_bits,
+                offsets,
+            } => {
+                scratch.clear();
+                scratch.resize(offsets.len(), Complex::ZERO);
+                kernel_generic(amps, sorted_bits, offsets, gate, scratch);
+            }
+            Kernel::Diagonal { phase } => kernel_diagonal(amps, phase),
+            Kernel::Permutation { src, phase } => {
+                for run in amps.chunks_exact_mut(phase.len()) {
+                    scratch.clear();
+                    scratch.extend_from_slice(run);
+                    for ((a, &s), &p) in run.iter_mut().zip(src).zip(phase) {
+                        *a = p * scratch[s];
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -89,6 +186,27 @@ fn controlled_block(gate: &Matrix) -> Option<[Complex; 4]> {
         gate[(body + 1, body)],
         gate[(body + 1, body + 1)],
     ])
+}
+
+/// If `gate` has exactly one nonzero entry in every row and column (a
+/// permutation times a diagonal: `Z`, `S`, `T`, `RZ`, `P`, `X`, `CX`, `CZ`,
+/// `CCX`, `CCZ`, `CⁿZ`, `CRZ`, `SWAP`, …), returns for each column `x` the
+/// row of its nonzero and that entry, so `gate·|x⟩ = entry·|row⟩`. Zeros
+/// are tested exactly, as in `controlled_block`: an entry that is only
+/// numerically zero (`RX(π)`'s ~6e-17 diagonal) keeps a gate dense.
+pub(crate) fn monomial(gate: &Matrix) -> Option<Vec<(usize, Complex)>> {
+    let gdim = gate.rows();
+    let mut row_used = vec![false; gdim];
+    let mut image = Vec::with_capacity(gdim);
+    for c in 0..gdim {
+        let mut nonzero = (0..gdim).filter(|&r| gate[(r, c)] != Complex::ZERO);
+        let r = nonzero.next()?;
+        if nonzero.next().is_some() || std::mem::replace(&mut row_used[r], true) {
+            return None;
+        }
+        image.push((r, gate[(r, c)]));
+    }
+    Some(image)
 }
 
 /// Validates a gate/target combination against a register width; shared by
@@ -124,33 +242,11 @@ pub(crate) fn apply_gate(amps: &mut [Complex], gate: &Matrix, bits: &[usize]) {
     // this granularity can be processed independently.
     let unit = 1usize << bits.iter().map(|&b| b + 1).max().unwrap_or(0);
     let threads = plan_threads(amps.len(), unit);
-    match classify(gate, bits.len()) {
-        Kernel::OneQ(m) => {
-            run_chunked(amps, unit, threads, &|chunk| kernel_1q(chunk, bits[0], &m));
-        }
-        Kernel::TwoQ(m) => {
-            run_chunked(amps, unit, threads, &|chunk| {
-                kernel_2q(chunk, bits[0], bits[1], &m)
-            });
-        }
-        Kernel::Controlled(m) => {
-            let k = bits.len();
-            let cmask: usize = bits[..k - 1].iter().map(|&b| 1usize << b).sum();
-            run_chunked(amps, unit, threads, &|chunk| {
-                kernel_controlled(chunk, cmask, bits[k - 1], &m)
-            });
-        }
-        Kernel::Generic => {
-            let offsets = group_offsets(bits);
-            let mut sorted_bits = bits.to_vec();
-            sorted_bits.sort_unstable();
-            run_chunked(amps, unit, threads, &|chunk| {
-                // One scratch per chunk (i.e. per thread), not per group.
-                let mut scratch = vec![Complex::ZERO; offsets.len()];
-                kernel_generic(chunk, &sorted_bits, &offsets, gate, &mut scratch);
-            });
-        }
-    }
+    let kernel = Kernel::for_gate(gate, bits);
+    // One scratch per chunk (i.e. per thread), not per group.
+    run_chunked(amps, unit, threads, &|chunk| {
+        kernel.run(chunk, &mut Vec::new())
+    });
 }
 
 /// Number of worker threads for a buffer of `len` amplitudes split at `unit`
@@ -267,6 +363,15 @@ simd_kernel! {
     )
 }
 
+simd_kernel! {
+    /// Phase table: scales every aligned run of `phase.len()` amplitudes
+    /// entry-wise by `phase`.
+    kernel_diagonal / kernel_diagonal_avx / kernel_diagonal_avx512 => kernel_diagonal_body(
+        amps: &mut [Complex],
+        phase: &[Complex],
+    )
+}
+
 /// Scalar 1-qubit butterfly. The complex products are spelled out over
 /// `f64` components so the compiler can interleave the four dot products
 /// instead of chaining `Complex` ops.
@@ -351,6 +456,18 @@ fn kernel_controlled_body(amps: &mut [Complex], cmask: usize, tbit: usize, m: &[
     }
 }
 
+/// Scalar phase-table kernel.
+#[inline(always)]
+fn kernel_diagonal_body(amps: &mut [Complex], phase: &[Complex]) {
+    for run in amps.chunks_exact_mut(phase.len()) {
+        for (a, p) in run.iter_mut().zip(phase) {
+            let (xr, xi) = (a.re, a.im);
+            a.re = p.re * xr - p.im * xi;
+            a.im = p.re * xi + p.im * xr;
+        }
+    }
+}
+
 /// Buffer-index offset of each gate-index within a group: `offsets[g]` ORs
 /// the stride of every target whose gate-space bit is set in `g`.
 fn group_offsets(bits: &[usize]) -> Vec<usize> {
@@ -376,12 +493,11 @@ fn kernel_generic(
     amps: &mut [Complex],
     sorted_bits: &[usize],
     offsets: &[usize],
-    gate: &Matrix,
+    g: &[Complex],
     scratch: &mut [Complex],
 ) {
     let k = sorted_bits.len();
     let gdim = offsets.len();
-    let g = gate.as_slice();
     let groups = amps.len() >> k;
     for group in 0..groups {
         // Expand the compressed index by inserting a zero at each target bit.
@@ -446,6 +562,34 @@ mod tests {
             block,
             [Complex::ONE, Complex::ZERO, Complex::ZERO, -Complex::ONE]
         );
+    }
+
+    #[test]
+    fn monomial_detection() {
+        for gate in [
+            gates::z(),
+            gates::rz(0.3),
+            gates::x(),
+            gates::cx(),
+            gates::swap(),
+            gates::crz(0.3),
+            gates::ccx(),
+            gates::cnz(3),
+        ] {
+            assert!(monomial(&gate).is_some());
+        }
+        assert_eq!(
+            monomial(&gates::cx()).unwrap(),
+            [
+                (0, Complex::ONE),
+                (1, Complex::ONE),
+                (3, Complex::ONE),
+                (2, Complex::ONE)
+            ]
+        );
+        // RX(π) = -i·X, but its diagonal is cos(π/2) ≈ 6e-17, not 0.
+        assert!(monomial(&gates::rx(std::f64::consts::PI)).is_none());
+        assert!(monomial(&gates::h()).is_none());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`State`] — a state-vector simulator for functional testing,
 //! * [`kernels`] — stride-based specialized gate-application kernels shared
 //!   by [`State`] and [`UnitaryBuilder`],
-//! * [`UnitaryBuilder`] — materializes whole-register unitaries in a single
-//!   contiguous column-major buffer,
+//! * [`UnitaryBuilder`] — materializes whole-register unitaries by fusing
+//!   the gate sequence into a short plan of kernel passes,
 //! * [`equiv`] — global-phase-insensitive unitary comparison used by the
 //!   wChecker (paper §6).
 //!

@@ -1,5 +1,5 @@
 //! Dense complex matrices sized for unitary-level reasoning about small
-//! quantum circuits (the wChecker's unitary pass operates on ≤ 12 qubits).
+//! quantum circuits (the wChecker's unitary pass operates on ≤ 13 qubits).
 
 use crate::Complex;
 use std::fmt;
@@ -92,6 +92,23 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[Complex] {
         &self.data
+    }
+
+    /// Raw row-major element slice, mutable (for in-place fills).
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [Complex] {
+        &mut self.data
+    }
+
+    /// Transpose `Aᵀ`.
+    pub(crate) fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out[(c, r)] = self[(r, c)];
+            }
+        }
+        out
     }
 
     /// Conjugate transpose `A†`.

@@ -1128,8 +1128,17 @@ fn run_single(args: &Args) -> ExitCode {
     if args.check {
         match weaver.verify_workload(&output, &workload, None) {
             Some(report) if report.passed() => {
+                let unitary = if report.unitary_checked {
+                    "unitary compared".to_string()
+                } else {
+                    let qubits = report.reconstructed.as_ref().map_or(0, |c| c.num_qubits());
+                    format!(
+                        "unitary skipped: {qubits} > {} qubits",
+                        weaver::simulator::UnitaryBuilder::MAX_QUBITS
+                    )
+                };
                 eprintln!(
-                    "weaverc: wChecker PASS ({} pulses, {} motions checked)",
+                    "weaverc: wChecker PASS ({} pulses, {} motions checked, {unitary})",
                     report.pulses_checked, report.motions_checked
                 );
             }

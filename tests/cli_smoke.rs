@@ -267,6 +267,8 @@ fn wcnf_and_maxcut_inputs_compile_single_shot() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("(weighted) [dimacs]"), "{stderr}");
     assert!(stderr.contains("wChecker PASS"), "{stderr}");
+    // Six variables: the full-unitary comparison runs, and the line says so.
+    assert!(stderr.contains("unitary compared)"), "{stderr}");
 
     let mc = format!("{}/triangle.mc", fixtures_dir());
     let out = weaverc()

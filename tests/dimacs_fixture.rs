@@ -33,5 +33,10 @@ fn weaverc_checks_the_fixture() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("wChecker PASS"), "{stderr}");
+    // Twenty variables exceed the unitary cap: local checks only, said so.
+    assert!(
+        stderr.contains("unitary skipped: 20 > 13 qubits)"),
+        "{stderr}"
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("OPENQASM"));
 }

@@ -4,7 +4,8 @@
 //! stride kernels; these properties assert that every dispatch decision
 //! agrees with the seed's generic matrix path (`State::apply_reference`) on
 //! random gates, targets, and register sizes, that norms survive, and that
-//! the contiguous `UnitaryBuilder` matches per-column simulation.
+//! the fused `UnitaryBuilder` plan (monomial runs, merged 1-qubit gates,
+//! multi-block builds) matches per-column simulation.
 
 use proptest::prelude::*;
 use proptest::strategy::OneOf;
@@ -46,27 +47,59 @@ fn dense_2q(angles: [f64; 6]) -> Matrix {
     post.matmul(&gates::cx()).matmul(&pre)
 }
 
+/// A random 1-qubit gate: an arbitrary `U3`, or one of the monomial gates
+/// the unitary builder fuses (`RZ`, `P`, `Z`, `S`, `T`, `X`), or `RX(π)`.
+/// `RX(π)` is `X` up to phase, but its diagonal is `cos(π/2)` ≈ 6e-17
+/// rather than an exact 0, so it must stay on the dense path.
+fn arb_1q() -> BoxedStrategy<Matrix> {
+    let angle = || -3.2f64..3.2;
+    OneOf::new(vec![
+        (angle(), angle(), angle())
+            .prop_map(|(t, p, l)| gates::u3(t, p, l))
+            .boxed(),
+        angle().prop_map(gates::rz).boxed(),
+        angle().prop_map(gates::p).boxed(),
+        Just(gates::z()).boxed(),
+        Just(gates::s()).boxed(),
+        Just(gates::t()).boxed(),
+        Just(gates::x()).boxed(),
+        Just(gates::rx(std::f64::consts::PI)).boxed(),
+    ])
+    .boxed()
+}
+
+/// Two distinct qubits of an `n`-qubit register (`n >= 2`).
+fn arb_pair(n: usize) -> impl Strategy<Value = (usize, usize)> {
+    (0..n, 0..n).prop_filter_map("distinct qubits", |(a, b)| (a != b).then_some((a, b)))
+}
+
+/// Three distinct qubits of an `n`-qubit register (`n >= 3`).
+fn arb_triple(n: usize) -> impl Strategy<Value = Vec<usize>> {
+    (0..n, 0..n, 0..n).prop_filter_map("distinct qubits", |(a, b, c)| {
+        (a != b && b != c && a != c).then_some(vec![a, b, c])
+    })
+}
+
 /// A random gate applicable to an `n`-qubit register, together with its
-/// targets: arbitrary-angle 1q gates, controlled and dense 2q gates, 3q
-/// controlled/dense gates, and a 4-qubit `CⁿZ` — every kernel dispatch arm.
+/// targets: dense and monomial 1q gates, permuting gates (`X`, `CX`,
+/// `SWAP`, `CCX`), controlled and dense 2q gates, 3q controlled/dense
+/// gates, and `CⁿZ` on 2 to `n` qubits — every kernel dispatch arm and
+/// every fusion class of the unitary builder.
 fn arb_gate(n: usize) -> BoxedStrategy<(Matrix, Vec<usize>)> {
     let angle = || -3.2f64..3.2;
-    let mut arms: Vec<BoxedStrategy<(Matrix, Vec<usize>)>> =
-        vec![(0..n, (angle(), angle(), angle()))
-            .prop_map(|(q, (t, p, l))| (gates::u3(t, p, l), vec![q]))
-            .boxed()];
+    let mut arms: Vec<BoxedStrategy<(Matrix, Vec<usize>)>> = vec![
+        (0..n, arb_1q()).prop_map(|(q, m)| (m, vec![q])).boxed(),
+        arb_permuting(n),
+    ];
     if n >= 2 {
-        let pair =
-            || (0..n, 0..n).prop_filter_map("distinct qubits", |(a, b)| (a != b).then_some((a, b)));
         arms.push(
-            (pair(), angle())
+            (arb_pair(n), angle())
                 .prop_map(|((a, b), t)| (gates::crz(t), vec![a, b]))
                 .boxed(),
         );
-        arms.push(pair().prop_map(|(a, b)| (gates::cx(), vec![a, b])).boxed());
         arms.push(
             (
-                pair(),
+                arb_pair(n),
                 (angle(), angle(), angle()),
                 (angle(), angle(), angle()),
             )
@@ -75,18 +108,21 @@ fn arb_gate(n: usize) -> BoxedStrategy<(Matrix, Vec<usize>)> {
                 })
                 .boxed(),
         );
+        // CⁿZ on any subset of at least two qubits.
+        arms.push(
+            (0usize..1 << n)
+                .prop_filter_map("at least two qubits", move |mask: usize| {
+                    let qs: Vec<usize> = (0..n).filter(|&q| mask >> q & 1 == 1).collect();
+                    (qs.len() >= 2).then(|| (gates::cnz(qs.len() - 1), qs))
+                })
+                .boxed(),
+        );
     }
     if n >= 3 {
-        let triple = || {
-            (0..n, 0..n, 0..n).prop_filter_map("distinct qubits", |(a, b, c)| {
-                (a != b && b != c && a != c).then_some(vec![a, b, c])
-            })
-        };
-        arms.push(triple().prop_map(|qs| (gates::ccz(), qs)).boxed());
-        arms.push(triple().prop_map(|qs| (gates::ccx(), qs)).boxed());
+        arms.push(arb_triple(n).prop_map(|qs| (gates::ccz(), qs)).boxed());
         // Dense 3-qubit gate: exercises the generic fallback.
         arms.push(
-            (triple(), angle())
+            (arb_triple(n), angle())
                 .prop_map(|(qs, t)| {
                     let wall = gates::rx(t).kron(&gates::h()).kron(&gates::ry(0.4));
                     (wall.matmul(&gates::ccx()), qs)
@@ -94,24 +130,53 @@ fn arb_gate(n: usize) -> BoxedStrategy<(Matrix, Vec<usize>)> {
                 .boxed(),
         );
     }
-    if n >= 4 {
+    OneOf::new(arms).boxed()
+}
+
+/// A permuting monomial gate (`X`, `CX`, `SWAP`, `CCX`), so a run of them
+/// leaves a permutation that generally does not close to the identity.
+fn arb_permuting(n: usize) -> BoxedStrategy<(Matrix, Vec<usize>)> {
+    let mut arms: Vec<BoxedStrategy<(Matrix, Vec<usize>)>> =
+        vec![(0..n).prop_map(|q| (gates::x(), vec![q])).boxed()];
+    if n >= 2 {
         arms.push(
-            (0..n, 0..n, 0..n, 0..n)
-                .prop_filter_map("distinct qubits", |(a, b, c, d)| {
-                    let qs = vec![a, b, c, d];
-                    let mut sorted = qs.clone();
-                    sorted.sort_unstable();
-                    sorted.dedup();
-                    (sorted.len() == 4).then_some(qs)
-                })
-                .prop_map(|qs| (gates::cnz(3), qs))
+            arb_pair(n)
+                .prop_map(|(a, b)| (gates::cx(), vec![a, b]))
                 .boxed(),
         );
+        arms.push(
+            arb_pair(n)
+                .prop_map(|(a, b)| (gates::swap(), vec![a, b]))
+                .boxed(),
+        );
+    }
+    if n >= 3 {
+        arms.push(arb_triple(n).prop_map(|qs| (gates::ccx(), qs)).boxed());
     }
     OneOf::new(arms).boxed()
 }
 
-/// A register size, a random state on it, and a random gate sequence.
+/// A short stretch of a gate sequence: one random gate, a same-qubit chain
+/// of 1-qubit gates (merged into one 2×2 by the builder), or a run of
+/// permuting monomial gates with phases mixed in.
+fn arb_segment(n: usize) -> BoxedStrategy<Vec<(Matrix, Vec<usize>)>> {
+    let phase = move || {
+        (0..n, -3.2f64..3.2)
+            .prop_map(|(q, t)| (gates::rz(t), vec![q]))
+            .boxed()
+    };
+    OneOf::new(vec![
+        arb_gate(n).prop_map(|g| vec![g]).boxed(),
+        (0..n, prop::collection::vec(arb_1q(), 2..6))
+            .prop_map(|(q, ms)| ms.into_iter().map(|m| (m, vec![q])).collect())
+            .boxed(),
+        prop::collection::vec(OneOf::new(vec![arb_permuting(n), phase()]), 2..7).boxed(),
+    ])
+    .boxed()
+}
+
+/// A register size, a random state on it, and a random gate sequence of
+/// at most `max_gates` gates.
 fn arb_case(
     max_qubits: usize,
     max_gates: usize,
@@ -119,7 +184,8 @@ fn arb_case(
     (1usize..=max_qubits).prop_flat_map(move |n| {
         (
             arb_state(n),
-            prop::collection::vec(arb_gate(n), 1..max_gates),
+            prop::collection::vec(arb_segment(n), 1..max_gates.div_ceil(2))
+                .prop_map(move |segments| segments.into_iter().flatten().take(max_gates).collect()),
         )
     })
 }
@@ -150,8 +216,10 @@ proptest! {
         prop_assert!((s.norm_sqr() - 1.0).abs() < 1e-8, "norm drifted to {}", s.norm_sqr());
     }
 
+    /// Up to 8 qubits, the builder runs several row blocks (threaded on a
+    /// multi-core host).
     #[test]
-    fn unitary_builder_matches_per_column_reference(case in arb_case(5, 6)) {
+    fn unitary_builder_matches_per_column_reference(case in arb_case(8, 24)) {
         let (state, ops) = case;
         let n = state.num_qubits();
         let mut b = UnitaryBuilder::new(n);
