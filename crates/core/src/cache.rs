@@ -102,72 +102,102 @@ impl Blake2s {
 
     /// Absorbs `data`.
     pub fn update(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            if self.buf_len == 64 {
-                // Only compress a full buffer once more input exists — the
-                // final block must be compressed with the last-block flag.
-                self.t += 64;
-                let block = self.buf;
-                self.compress(&block, false);
-                self.buf_len = 0;
-            }
+        // Only compress a block once more input follows it: the final block
+        // must be compressed with the last-block flag, so it stays buffered.
+        if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
+            if data.is_empty() {
+                return;
+            }
+            self.t += 64;
+            compress(&mut self.h, self.t, &self.buf, false);
+            self.buf_len = 0;
         }
+        while data.len() > 64 {
+            let (block, rest) = data.split_at(64);
+            self.t += 64;
+            compress(
+                &mut self.h,
+                self.t,
+                block.try_into().expect("64 bytes"),
+                false,
+            );
+            data = rest;
+        }
+        self.buf[..data.len()].copy_from_slice(data);
+        self.buf_len = data.len();
     }
 
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> Digest {
         self.t += self.buf_len as u64;
-        let mut block = [0u8; 64];
-        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
-        self.compress(&block, true);
+        self.buf[self.buf_len..].fill(0);
+        compress(&mut self.h, self.t, &self.buf, true);
         let mut out = [0u8; 32];
         for (i, word) in self.h.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64], last: bool) {
-        let mut m = [0u32; 16];
-        for (i, word) in m.iter_mut().enumerate() {
-            *word = u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
-        }
-        let mut v = [0u32; 16];
-        v[..8].copy_from_slice(&self.h);
-        v[8..].copy_from_slice(&IV);
-        v[12] ^= self.t as u32;
-        v[13] ^= (self.t >> 32) as u32;
-        if last {
-            v[14] = !v[14];
-        }
-        #[inline(always)]
-        fn g(v: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize, x: u32, y: u32) {
-            v[a] = v[a].wrapping_add(v[b]).wrapping_add(x);
-            v[d] = (v[d] ^ v[a]).rotate_right(16);
-            v[c] = v[c].wrapping_add(v[d]);
-            v[b] = (v[b] ^ v[c]).rotate_right(12);
-            v[a] = v[a].wrapping_add(v[b]).wrapping_add(y);
-            v[d] = (v[d] ^ v[a]).rotate_right(8);
-            v[c] = v[c].wrapping_add(v[d]);
-            v[b] = (v[b] ^ v[c]).rotate_right(7);
-        }
-        for s in &SIGMA {
-            g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
-            g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
-            g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
-            g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
-            g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
-            g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
-            g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
-            g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
-        }
-        for i in 0..8 {
-            self.h[i] ^= v[i] ^ v[i + 8];
-        }
+/// The BLAKE2s compression function `F`: ten rounds, each indexing the
+/// message words through a constant `SIGMA` row, so every word index is
+/// known at compile time.
+#[inline(always)]
+fn compress(h: &mut [u32; 8], t: u64, block: &[u8; 64], last: bool) {
+    let mut m = [0u32; 16];
+    for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let mut v = [0u32; 16];
+    v[..8].copy_from_slice(h);
+    v[8..].copy_from_slice(&IV);
+    v[12] ^= t as u32;
+    v[13] ^= (t >> 32) as u32;
+    if last {
+        v[14] = !v[14];
+    }
+    macro_rules! g {
+        ($a:literal, $b:literal, $c:literal, $d:literal, $x:expr, $y:expr) => {
+            v[$a] = v[$a].wrapping_add(v[$b]).wrapping_add($x);
+            v[$d] = (v[$d] ^ v[$a]).rotate_right(16);
+            v[$c] = v[$c].wrapping_add(v[$d]);
+            v[$b] = (v[$b] ^ v[$c]).rotate_right(12);
+            v[$a] = v[$a].wrapping_add(v[$b]).wrapping_add($y);
+            v[$d] = (v[$d] ^ v[$a]).rotate_right(8);
+            v[$c] = v[$c].wrapping_add(v[$d]);
+            v[$b] = (v[$b] ^ v[$c]).rotate_right(7);
+        };
+    }
+    macro_rules! round {
+        ($r:literal) => {{
+            const S: [usize; 16] = SIGMA[$r];
+            g!(0, 4, 8, 12, m[S[0]], m[S[1]]);
+            g!(1, 5, 9, 13, m[S[2]], m[S[3]]);
+            g!(2, 6, 10, 14, m[S[4]], m[S[5]]);
+            g!(3, 7, 11, 15, m[S[6]], m[S[7]]);
+            g!(0, 5, 10, 15, m[S[8]], m[S[9]]);
+            g!(1, 6, 11, 12, m[S[10]], m[S[11]]);
+            g!(2, 7, 8, 13, m[S[12]], m[S[13]]);
+            g!(3, 4, 9, 14, m[S[14]], m[S[15]]);
+        }};
+    }
+    round!(0);
+    round!(1);
+    round!(2);
+    round!(3);
+    round!(4);
+    round!(5);
+    round!(6);
+    round!(7);
+    round!(8);
+    round!(9);
+    for i in 0..8 {
+        h[i] ^= v[i] ^ v[i + 8];
     }
 }
 
@@ -423,6 +453,39 @@ mod tests {
             }
             assert_eq!(h.finalize().to_hex(), oneshot, "chunk size {chunk}");
         }
+    }
+
+    #[test]
+    fn blake2s_block_edge_splits_match_oneshot() {
+        // Splits at 1, 63, 64, 65 and 127 bytes drive every path of
+        // `update`: a partial buffer topped up, a full buffer held back as
+        // the possible last block, and whole blocks compressed straight
+        // from the input.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let splits = [1usize, 63, 64, 65, 127];
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 192, 300] {
+            let oneshot = hex(&data[..len]);
+            for a in splits {
+                for b in splits {
+                    let (a, b) = (a.min(len), (a + b).min(len));
+                    let mut h = Blake2s::new();
+                    h.update(&data[..a]);
+                    h.update(&data[a..b]);
+                    h.update(&data[b..len]);
+                    assert_eq!(h.finalize().to_hex(), oneshot, "len {len}, cuts {a}/{b}");
+                }
+            }
+        }
+        // Multi-block known answers (Python `hashlib.blake2s`).
+        assert_eq!(
+            hex(&data[..129]),
+            "26fd8892ab0a5f12d4acbff1efd7dcd92b99e2d377f888f07e3cb81b232b11cf"
+        );
+        let cycle: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
+        assert_eq!(
+            hex(&cycle),
+            "b5f9d7799111edafc9326fbf667be98140b5e20ce5e151793c59125bf654ac18"
+        );
     }
 
     #[test]

@@ -369,7 +369,9 @@ fn opt_bool(v: Option<bool>) -> String {
 /// 2 added the per-pass timing trace — version-1 entries parse as misses
 /// and recompile).
 pub(crate) fn render_artifact(a: &Artifact) -> String {
-    let mut out = String::new();
+    // The header lines are short: one allocation normally covers them and
+    // the program text.
+    let mut out = String::with_capacity(a.wqasm.len() + 1024);
     out.push_str("weaver-artifact 2\n");
     let m = &a.metrics;
     // `{}` on f64 prints the shortest round-tripping decimal, so parsing

@@ -11,17 +11,23 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "WVSTORE1"
-//!      8     4  format version (little-endian u32, currently 1)
+//!      8     4  format version (little-endian u32, currently 2)
 //!     12     4  page size in bytes
 //!     16     8  page count (including this header page)
-//!     24     8  checksum64 over bytes 0..24
+//!     24     8  XXH64 over bytes 0..24
 //! ```
+//!
+//! Format 2 changed only the checksums: the header, data-page and WAL-frame
+//! checksums are XXH64 with seed 0 (see [`sum64`]); format 1 used the first
+//! 8 bytes of BLAKE2s-256. A store whose header carries the magic but
+//! another version opens empty (see [`header_version`]): its artifacts are
+//! recompiled, never misread.
 //!
 //! ## Data pages
 //!
 //! ```text
 //! offset  size  field
-//!      0     8  checksum64 over bytes 8..page_size
+//!      0     8  XXH64 over bytes 8..page_size
 //!      8     1  state: 0 free · 1 head · 2 continuation
 //!      9     4  payload bytes stored in this page
 //!     13     8  next page id (0 = end of chain)
@@ -46,8 +52,9 @@ use weaver_core::cache::{Blake2s, Digest};
 pub const STORE_MAGIC: [u8; 8] = *b"WVSTORE1";
 /// Magic bytes opening the WAL.
 pub const WAL_MAGIC: [u8; 8] = *b"WVWAL001";
-/// On-disk format version (bumped on incompatible layout changes).
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version of both files (bumped on incompatible changes;
+/// 2 switched every checksum from truncated BLAKE2s to XXH64).
+pub const FORMAT_VERSION: u32 = 2;
 /// Default page size; store files remember their own in the header.
 pub const DEFAULT_PAGE_SIZE: u32 = 4096;
 /// Smallest supported page size (the head-page header plus one byte).
@@ -92,18 +99,130 @@ impl PageState {
     }
 }
 
-/// First 8 bytes of BLAKE2s-256 as a little-endian u64 — the page and WAL
-/// record checksum.
+/// XXH64 (seed 0) of the concatenated `parts` — the page, WAL record and
+/// header checksum. The parts are streamed, never joined into one buffer.
+/// It guards against torn writes and bit flips; the chain content digest
+/// ([`content_digest`]) is the cryptographic end-to-end check.
 pub fn sum64(parts: &[&[u8]]) -> u64 {
-    let mut h = Blake2s::new();
+    let mut h = Xxh64::new();
     for p in parts {
         h.update(p);
     }
-    let Digest(bytes) = h.finalize();
+    h.finish()
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Streaming XXH64 with seed 0
+/// (<https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md>).
+struct Xxh64 {
+    acc: [u64; 4],
+    /// Bytes of the current 32-byte stripe not yet folded into `acc`.
+    buf: [u8; 32],
+    buf_len: usize,
+    total_len: u64,
+}
+
+fn lane(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
-/// Full BLAKE2s-256 of a payload (the chain content digest).
+fn round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn merge(acc: u64, lane_acc: u64) -> u64 {
+    (acc ^ round(0, lane_acc)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+impl Xxh64 {
+    fn new() -> Self {
+        Xxh64 {
+            acc: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            buf: [0; 32],
+            buf_len: 0,
+            total_len: 0,
+        }
+    }
+
+    fn stripe(acc: &mut [u64; 4], stripe: &[u8]) {
+        for (a, bytes) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+            *a = round(*a, lane(bytes));
+        }
+    }
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.total_len += data.len() as u64;
+        if self.buf_len > 0 {
+            let take = (32 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < 32 {
+                return;
+            }
+            Xxh64::stripe(&mut self.acc, &self.buf);
+            self.buf_len = 0;
+        }
+        let mut stripes = data.chunks_exact(32);
+        for stripe in &mut stripes {
+            Xxh64::stripe(&mut self.acc, stripe);
+        }
+        let rest = stripes.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = if self.total_len >= 32 {
+            let [a, b, c, d] = self.acc;
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.acc.iter().fold(h, |h, &a| merge(h, a))
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total_len);
+        let mut rest = &self.buf[..self.buf_len];
+        while rest.len() >= 8 {
+            h = (h ^ round(0, lane(rest)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let word = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(word).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &byte in rest {
+            h = (h ^ u64::from(byte).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// Full BLAKE2s-256 of a payload (the chain content digest, and the only
+/// cryptographic pass a put makes over its bytes).
 pub fn content_digest(payload: &[u8]) -> Digest {
     let mut h = Blake2s::new();
     h.update(payload);
@@ -132,14 +251,19 @@ pub struct Header {
     pub page_count: u64,
 }
 
-/// Parses and verifies the header; `None` means the header is damaged and
-/// recovery should rebuild it.
-pub fn decode_header(bytes: &[u8]) -> Option<Header> {
+/// The format version of a page-file header that carries the store magic;
+/// `None` when the magic is absent (not a store header, or damaged).
+pub fn header_version(bytes: &[u8]) -> Option<u32> {
     if bytes.len() < HEADER_LEN || bytes[0..8] != STORE_MAGIC {
         return None;
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
-    if version != FORMAT_VERSION {
+    Some(u32::from_le_bytes(bytes[8..12].try_into().ok()?))
+}
+
+/// Parses and verifies the header; `None` means the header is damaged (or
+/// of another format version) and recovery should rebuild it.
+pub fn decode_header(bytes: &[u8]) -> Option<Header> {
+    if header_version(bytes)? != FORMAT_VERSION {
         return None;
     }
     let page_size = u32::from_le_bytes(bytes[12..16].try_into().ok()?);
@@ -313,6 +437,45 @@ mod tests {
 
     fn key(tag: u8) -> Digest {
         Digest([tag; 32])
+    }
+
+    #[test]
+    fn sum64_is_xxh64_with_seed_zero() {
+        assert_eq!(sum64(&[b""]), 0xEF46_DB37_51D8_E999);
+        assert_eq!(sum64(&[]), 0xEF46_DB37_51D8_E999);
+        // Under one stripe: three single bytes after the seed path.
+        assert_eq!(sum64(&[b"abc"]), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one 32-byte stripe, a 4-byte word and 3 single bytes
+        // (the python-xxhash documentation's example).
+        assert_eq!(
+            sum64(&[b"Nobody inspects the spammish repetition"]),
+            0xFBCE_A83C_8A37_8BF1
+        );
+        // The 8-byte lane tail: two lanes; a stripe, a lane, a word and a
+        // byte; three stripes and a word. The low halves match the content
+        // checksum (XXH64's low 32 bits) of a `zstd --check` frame.
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(sum64(&[b"0123456789abcdef"]), 0x5C5B_90C3_4E37_6D0B);
+        assert_eq!(sum64(&[&bytes[..45]]), 0xAA6A_EB71_98C8_C81C);
+        assert_eq!(sum64(&[&bytes]), 0xEFA0_AD2D_3E70_C151);
+    }
+
+    #[test]
+    fn sum64_streams_parts_like_one_buffer() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in [0usize, 3, 4, 8, 31, 32, 33, 64, 100, 200] {
+            let whole = sum64(&[&data[..len]]);
+            for a in [0usize, 1, 7, 31, 32, 33] {
+                for b in [0usize, 1, 8, 32, 63] {
+                    let (a, b) = (a.min(len), (a + b).min(len));
+                    assert_eq!(
+                        sum64(&[&data[..a], &data[a..b], &data[b..len]]),
+                        whole,
+                        "len {len}, cuts {a}/{b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod wal;
 use fault::FaultState;
 use format::{PageScan, PageState, PageView};
 use pager::{BufferPool, PageFile};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -409,13 +410,40 @@ impl Store {
 
         let mut report = RecoveryReport::default();
         let store_path = dir.join(STORE_FILE);
+        let wal_path = dir.join(WAL_FILE);
         let mut file = PageFile::open(&store_path, tuning.page_size, tuning.fault.clone())?;
+        let first_page = if file.len_bytes()? == 0 {
+            None
+        } else {
+            Some(file.read_page(0)?)
+        };
+        if let Some(version) = first_page
+            .as_deref()
+            .and_then(format::header_version)
+            .filter(|&v| v != format::FORMAT_VERSION)
+        {
+            // Another format's checksums cannot be verified, so every page
+            // would quarantine: start the store empty instead. The log is
+            // reset first, so a crash mid-reset leaves the old header to
+            // reset again.
+            weaver_obs::log::warn(
+                "weaver-store",
+                &format!(
+                    "store at {} has format version {version}, this build reads {}; \
+                     starting it empty",
+                    dir.display(),
+                    format::FORMAT_VERSION
+                ),
+            );
+            Wal::reset(&wal_path, tuning.page_size, tuning.fault.clone())?;
+            file.truncate()?;
+        }
         let page_size = if file.len_bytes()? == 0 {
             file.write_page(0, &format::encode_header(tuning.page_size, 1))?;
             file.sync()?;
             tuning.page_size
         } else {
-            match format::decode_header(&file.read_page(0)?) {
+            match first_page.as_deref().and_then(format::decode_header) {
                 Some(h) => h.page_size,
                 None => {
                     report.header_rebuilt = true;
@@ -427,7 +455,7 @@ impl Store {
             file = PageFile::open(&store_path, page_size, tuning.fault.clone())?;
         }
 
-        let (wal, wal_open) = Wal::open(&dir.join(WAL_FILE), page_size, tuning.fault.clone())?;
+        let (wal, wal_open) = Wal::open(&wal_path, page_size, tuning.fault.clone())?;
         report.torn_wal_bytes = wal_open.torn_bytes;
         report.header_rebuilt |= wal_open.header_rebuilt;
         report.replayed = wal_open.records.len() as u64;
@@ -627,7 +655,7 @@ impl Store {
                 content: format::content_digest(payload),
                 old_head,
                 pages,
-                payload: payload.to_vec(),
+                payload: Cow::Borrowed(payload),
             });
         }
         // Phase B — one append, one fsync: the whole batch's commit point.
@@ -809,18 +837,15 @@ impl Store {
             let n = format::pages_for(payload.len(), self.page_size);
             let pages: Vec<u64> = (next_pid..next_pid + n as u64).collect();
             next_pid += n as u64;
+            let total_len = payload.len() as u64;
             let record = WalRecord::Put {
                 lsn: chain_lsn,
                 key,
-                total_len: payload.len() as u64,
+                total_len,
                 content: format::content_digest(&payload),
                 old_head: 0,
                 pages: pages.clone(),
-                payload,
-            };
-            let total_len = match &record {
-                WalRecord::Put { total_len, .. } => *total_len,
-                WalRecord::Delete { .. } => unreachable!(),
+                payload: Cow::Owned(payload),
             };
             for (pid, image) in record_images(&record, self.page_size) {
                 tmp.write_page(pid, &image)?;
@@ -915,7 +940,7 @@ impl Store {
         }
     }
 
-    fn apply_put(&mut self, record: &WalRecord) -> std::io::Result<()> {
+    fn apply_put(&mut self, record: &WalRecord<'_>) -> std::io::Result<()> {
         let WalRecord::Put {
             lsn,
             key,
@@ -985,7 +1010,7 @@ fn sorted_free(mut free: Vec<u64>) -> Vec<u64> {
 /// Materializes the page images a put record writes; deletes produce the
 /// freed head image. Used identically by runtime apply and replay, so
 /// recovery reconstructs byte-identical pages.
-fn record_images(record: &WalRecord, page_size: u32) -> Vec<(u64, Vec<u8>)> {
+fn record_images(record: &WalRecord<'_>, page_size: u32) -> Vec<(u64, Vec<u8>)> {
     match record {
         WalRecord::Put {
             lsn,

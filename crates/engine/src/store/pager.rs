@@ -65,6 +65,12 @@ impl PageFile {
         self.file.write_all_at(pid * self.page_size as u64, image)
     }
 
+    /// Cuts the file to zero length (a store of another format version
+    /// restarts empty).
+    pub(crate) fn truncate(&mut self) -> std::io::Result<()> {
+        self.file.set_len(0)
+    }
+
     /// Fsyncs the file (the checkpoint barrier).
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.file.sync()

@@ -9,8 +9,8 @@
 //!
 //! ```text
 //! file   = header · record*
-//! header = magic "WVWAL001" · version u32 · page_size u32       (16 bytes)
-//! record = body_len u32 · checksum64(body) u64 · body
+//! header = magic "WVWAL001" · version u32 (2) · page_size u32   (16 bytes)
+//! record = body_len u32 · XXH64(body) u64 · body
 //! body   = lsn u64 · kind u8 · key [32] · kind-specific fields
 //!   kind 1 (put):    total_len u64 · content [32] · old_head u64
 //!                    · n_pages u32 · page_id u64 × n_pages · payload
@@ -26,13 +26,15 @@
 
 use super::fault::{FaultFile, FaultState};
 use super::format::{sum64, FORMAT_VERSION, WAL_HEADER_LEN, WAL_MAGIC};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 use weaver_core::cache::Digest;
 
-/// One committed WAL record.
+/// One committed WAL record. A put borrows its payload while it is being
+/// committed and owns it when decoded from the log.
 #[derive(Clone, Debug, PartialEq)]
-pub enum WalRecord {
+pub enum WalRecord<'a> {
     /// Write an artifact as a chain over `pages` (in chain order).
     Put {
         /// Log sequence number.
@@ -49,7 +51,7 @@ pub enum WalRecord {
         /// Page ids of the chain, head first.
         pages: Vec<u64>,
         /// The full payload (pages derive their slices deterministically).
-        payload: Vec<u8>,
+        payload: Cow<'a, [u8]>,
     },
     /// Remove an artifact (rewrites its head page as free).
     Delete {
@@ -62,7 +64,7 @@ pub enum WalRecord {
     },
 }
 
-impl WalRecord {
+impl WalRecord<'_> {
     /// The record's LSN.
     pub fn lsn(&self) -> u64 {
         match self {
@@ -70,8 +72,9 @@ impl WalRecord {
         }
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// The record body as two parts: the fixed fields (and page ids), then
+    /// the payload, which is borrowed so a frame copies it exactly once.
+    fn encode_parts(&self) -> (Vec<u8>, &[u8]) {
         match self {
             WalRecord::Put {
                 lsn,
@@ -82,6 +85,7 @@ impl WalRecord {
                 pages,
                 payload,
             } => {
+                let mut b = Vec::with_capacity(93 + 8 * pages.len());
                 b.extend_from_slice(&lsn.to_le_bytes());
                 b.push(1);
                 b.extend_from_slice(&key.0);
@@ -92,23 +96,24 @@ impl WalRecord {
                 for p in pages {
                     b.extend_from_slice(&p.to_le_bytes());
                 }
-                b.extend_from_slice(payload);
+                (b, payload)
             }
             WalRecord::Delete {
                 lsn,
                 key,
                 head_page,
             } => {
+                let mut b = Vec::with_capacity(49);
                 b.extend_from_slice(&lsn.to_le_bytes());
                 b.push(2);
                 b.extend_from_slice(&key.0);
                 b.extend_from_slice(&head_page.to_le_bytes());
+                (b, &[])
             }
         }
-        b
     }
 
-    fn decode_body(b: &[u8]) -> Option<WalRecord> {
+    fn decode_body(b: &[u8]) -> Option<WalRecord<'static>> {
         if b.len() < 41 {
             return None;
         }
@@ -134,7 +139,7 @@ impl WalRecord {
                 let pages: Vec<u64> = (0..n_pages)
                     .map(|i| u64::from_le_bytes(b[93 + 8 * i..101 + 8 * i].try_into().unwrap()))
                     .collect();
-                let payload = b[pages_end..].to_vec();
+                let payload = &b[pages_end..];
                 if payload.len() as u64 != total_len || pages.is_empty() {
                     return None;
                 }
@@ -145,7 +150,7 @@ impl WalRecord {
                     content: Digest(content),
                     old_head,
                     pages,
-                    payload,
+                    payload: Cow::Owned(payload.to_vec()),
                 })
             }
             2 => {
@@ -168,7 +173,7 @@ impl WalRecord {
 #[derive(Debug, Default)]
 pub struct WalOpen {
     /// Committed records, in append (= LSN) order.
-    pub records: Vec<WalRecord>,
+    pub records: Vec<WalRecord<'static>>,
     /// Bytes of torn tail discarded after the last committed record.
     pub torn_bytes: u64,
     /// Whether the header itself was missing or damaged and got rebuilt.
@@ -239,6 +244,20 @@ impl Wal {
         Ok((wal, found))
     }
 
+    /// Empties the log at `path` (creating it if absent) down to a fresh
+    /// header: a log of another format version is unreadable, not damaged.
+    pub(crate) fn reset(
+        path: &Path,
+        page_size: u32,
+        fault: Option<Arc<FaultState>>,
+    ) -> std::io::Result<()> {
+        let mut wal = Wal {
+            file: FaultFile::open(path, fault)?,
+            end: 0,
+        };
+        wal.write_header(page_size)
+    }
+
     fn write_header(&mut self, page_size: u32) -> std::io::Result<()> {
         let mut h = [0u8; WAL_HEADER_LEN as usize];
         h[0..8].copy_from_slice(&WAL_MAGIC);
@@ -252,7 +271,7 @@ impl Wal {
     }
 
     /// Appends and fsyncs one record; on return the record is committed.
-    pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
+    pub fn append(&mut self, record: &WalRecord<'_>) -> std::io::Result<()> {
         self.append_batch(std::slice::from_ref(record))
     }
 
@@ -260,17 +279,19 @@ impl Wal {
     /// the group-commit primitive: the whole batch shares one commit
     /// point. Each record keeps its own length + checksum frame, so a
     /// crash mid-append commits exactly the undamaged prefix.
-    pub fn append_batch(&mut self, records: &[WalRecord]) -> std::io::Result<()> {
+    pub fn append_batch(&mut self, records: &[WalRecord<'_>]) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
-        let mut frames = Vec::new();
-        for record in records {
-            let body = record.encode_body();
-            frames.reserve(12 + body.len());
-            frames.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&sum64(&[&body]).to_le_bytes());
-            frames.extend_from_slice(&body);
+        let bodies: Vec<(Vec<u8>, &[u8])> = records.iter().map(WalRecord::encode_parts).collect();
+        let total: usize = bodies.iter().map(|(f, p)| 12 + f.len() + p.len()).sum();
+        let mut frames = Vec::with_capacity(total);
+        for (fields, payload) in &bodies {
+            let body_len = (fields.len() + payload.len()) as u32;
+            frames.extend_from_slice(&body_len.to_le_bytes());
+            frames.extend_from_slice(&sum64(&[fields, payload]).to_le_bytes());
+            frames.extend_from_slice(fields);
+            frames.extend_from_slice(payload);
         }
         self.file.write_all_at(self.end, &frames)?;
         self.file.sync()?;
@@ -313,7 +334,7 @@ mod tests {
         d
     }
 
-    fn put(lsn: u64, tag: u8, payload: &[u8]) -> WalRecord {
+    fn put(lsn: u64, tag: u8, payload: &[u8]) -> WalRecord<'_> {
         WalRecord::Put {
             lsn,
             key: Digest([tag; 32]),
@@ -321,7 +342,7 @@ mod tests {
             content: super::super::format::content_digest(payload),
             old_head: 0,
             pages: vec![1, 2, 3],
-            payload: payload.to_vec(),
+            payload: Cow::Borrowed(payload),
         }
     }
 

@@ -8,6 +8,8 @@ use std::fmt::Write as _;
 
 /// Pretty-prints a program as wQasm source.
 ///
+/// Every token is written straight into one pre-sized `String`.
+///
 /// # Examples
 ///
 /// ```
@@ -18,18 +20,20 @@ use std::fmt::Write as _;
 /// assert_eq!(parse(&text).unwrap(), p);
 /// ```
 pub fn print(program: &Program) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(estimated_len(program));
     if let Some(v) = &program.version {
         // Keep a conventional two-part version number.
-        let v = if v.contains('.') {
-            v.clone()
-        } else {
-            format!("{v}.0")
-        };
-        let _ = writeln!(out, "OPENQASM {v};");
+        out.push_str("OPENQASM ");
+        out.push_str(v);
+        if !v.contains('.') {
+            out.push_str(".0");
+        }
+        out.push_str(";\n");
     }
     for inc in &program.includes {
-        let _ = writeln!(out, "include \"{inc}\";");
+        out.push_str("include \"");
+        out.push_str(inc);
+        out.push_str("\";\n");
     }
     for stmt in &program.statements {
         print_statement(stmt, &mut out);
@@ -37,14 +41,49 @@ pub fn print(program: &Program) -> String {
     out
 }
 
+/// About the printed length, from token counts: a shortest-round-trip
+/// float with its separator averages about 16 bytes, a qubit ref about 7.
+fn estimated_len(program: &Program) -> usize {
+    const FLOAT: usize = 16;
+    const QUBIT: usize = 7;
+    fn annotation_len(a: &Annotation) -> usize {
+        match a {
+            Annotation::Slm { positions } => 8 + (2 * FLOAT + 4) * positions.len(),
+            Annotation::Aod { xs, ys } => 12 + FLOAT * (xs.len() + ys.len()),
+            Annotation::RamanGlobal { .. } | Annotation::RamanLocal { .. } => 24 + 3 * FLOAT,
+            Annotation::Other { keyword, content } => 3 + keyword.len() + content.len(),
+            _ => 24,
+        }
+    }
+    let statements: usize = program
+        .statements
+        .iter()
+        .map(|s| match s {
+            Statement::GateCall {
+                annotations,
+                name,
+                params,
+                qubits,
+            } => {
+                annotations.iter().map(annotation_len).sum::<usize>()
+                    + name.len()
+                    + FLOAT * params.len()
+                    + QUBIT * qubits.len()
+                    + 4
+            }
+            Statement::Barrier { qubits } => 10 + QUBIT * qubits.len(),
+            Statement::Pragma(text) => 10 + text.len(),
+            Statement::Standalone(a) => annotation_len(a),
+            _ => 32,
+        })
+        .sum();
+    32 + statements
+}
+
 fn print_statement(stmt: &Statement, out: &mut String) {
     match stmt {
-        Statement::QregDecl { name, size } => {
-            let _ = writeln!(out, "qreg {name}[{size}];");
-        }
-        Statement::CregDecl { name, size } => {
-            let _ = writeln!(out, "creg {name}[{size}];");
-        }
+        Statement::QregDecl { name, size } => print_decl("qreg ", name, *size, out),
+        Statement::CregDecl { name, size } => print_decl("creg ", name, *size, out),
         Statement::GateCall {
             annotations,
             name,
@@ -54,113 +93,196 @@ fn print_statement(stmt: &Statement, out: &mut String) {
             for a in annotations {
                 print_annotation(a, out);
             }
-            let _ = write!(out, "{name}");
+            out.push_str(name);
             if !params.is_empty() {
-                let ps: Vec<String> = params.iter().map(|p| fmt_f64(*p)).collect();
-                let _ = write!(out, "({})", ps.join(", "));
+                out.push('(');
+                push_f64_list(params, out);
+                out.push(')');
             }
-            let qs: Vec<String> = qubits.iter().map(|q| q.to_string()).collect();
-            let _ = writeln!(out, " {};", qs.join(", "));
+            out.push(' ');
+            push_qubit_list(qubits, out);
+            out.push_str(";\n");
         }
-        Statement::Measure { qubit, target } => match target {
-            Some(t) => {
-                let _ = writeln!(out, "measure {qubit} -> {t};");
+        Statement::Measure { qubit, target } => {
+            out.push_str("measure ");
+            push_qubit(qubit, out);
+            if let Some(t) = target {
+                out.push_str(" -> ");
+                push_qubit(t, out);
             }
-            None => {
-                let _ = writeln!(out, "measure {qubit};");
-            }
-        },
+            out.push_str(";\n");
+        }
         Statement::Barrier { qubits } => {
-            if qubits.is_empty() {
-                let _ = writeln!(out, "barrier;");
-            } else {
-                let qs: Vec<String> = qubits.iter().map(|q| q.to_string()).collect();
-                let _ = writeln!(out, "barrier {};", qs.join(", "));
+            out.push_str("barrier");
+            if !qubits.is_empty() {
+                out.push(' ');
+                push_qubit_list(qubits, out);
             }
+            out.push_str(";\n");
         }
         Statement::Pragma(text) => {
-            let _ = writeln!(out, "pragma {text};");
+            out.push_str("pragma ");
+            out.push_str(text);
+            out.push_str(";\n");
         }
         Statement::Standalone(a) => print_annotation(a, out),
     }
 }
 
+fn print_decl(keyword: &str, name: &str, size: usize, out: &mut String) {
+    out.push_str(keyword);
+    out.push_str(name);
+    out.push('[');
+    push_usize(size, out);
+    out.push_str("];\n");
+}
+
 fn print_annotation(a: &Annotation, out: &mut String) {
     match a {
         Annotation::Slm { positions } => {
-            let ps: Vec<String> = positions
-                .iter()
-                .map(|(x, y)| format!("({}, {})", fmt_f64(*x), fmt_f64(*y)))
-                .collect();
-            let _ = writeln!(out, "@slm [{}]", ps.join(", "));
+            out.push_str("@slm [");
+            for (i, (x, y)) in positions.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                out.push('(');
+                push_f64(*x, out);
+                out.push_str(", ");
+                push_f64(*y, out);
+                out.push(')');
+            }
+            out.push_str("]\n");
         }
         Annotation::Aod { xs, ys } => {
-            let _ = writeln!(out, "@aod [{}] [{}]", fmt_list(xs), fmt_list(ys));
+            out.push_str("@aod [");
+            push_f64_list(xs, out);
+            out.push_str("] [");
+            push_f64_list(ys, out);
+            out.push_str("]\n");
         }
-        Annotation::Bind { qubit, target } => match target {
-            BindTarget::Slm(i) => {
-                let _ = writeln!(out, "@bind {qubit} slm {i}");
+        Annotation::Bind { qubit, target } => {
+            out.push_str("@bind ");
+            push_qubit(qubit, out);
+            match target {
+                BindTarget::Slm(i) => {
+                    out.push_str(" slm ");
+                    push_usize(*i, out);
+                }
+                BindTarget::Aod(cx, cy) => {
+                    out.push_str(" aod ");
+                    push_usize(*cx, out);
+                    out.push(' ');
+                    push_usize(*cy, out);
+                }
             }
-            BindTarget::Aod(cx, cy) => {
-                let _ = writeln!(out, "@bind {qubit} aod {cx} {cy}");
-            }
-        },
+            out.push('\n');
+        }
         Annotation::Transfer { slm_index, aod } => {
-            let _ = writeln!(out, "@transfer {slm_index} ({}, {})", aod.0, aod.1);
+            out.push_str("@transfer ");
+            push_usize(*slm_index, out);
+            out.push_str(" (");
+            push_usize(aod.0, out);
+            out.push_str(", ");
+            push_usize(aod.1, out);
+            out.push_str(")\n");
         }
         Annotation::Shuttle {
             axis,
             index,
             offset,
         } => {
-            let _ = writeln!(out, "@shuttle {axis} {index} {}", fmt_f64(*offset));
+            out.push_str(match axis {
+                ShuttleAxis::Row => "@shuttle row ",
+                ShuttleAxis::Column => "@shuttle column ",
+            });
+            push_usize(*index, out);
+            out.push(' ');
+            push_f64(*offset, out);
+            out.push('\n');
         }
         Annotation::RamanGlobal { x, y, z } => {
-            let _ = writeln!(
-                out,
-                "@raman global {} {} {}",
-                fmt_f64(*x),
-                fmt_f64(*y),
-                fmt_f64(*z)
-            );
+            out.push_str("@raman global");
+            push_xyz(*x, *y, *z, out);
         }
         Annotation::RamanLocal { qubit, x, y, z } => {
-            let _ = writeln!(
-                out,
-                "@raman local {qubit} {} {} {}",
-                fmt_f64(*x),
-                fmt_f64(*y),
-                fmt_f64(*z)
-            );
+            out.push_str("@raman local ");
+            push_qubit(qubit, out);
+            push_xyz(*x, *y, *z, out);
         }
-        Annotation::Rydberg => {
-            let _ = writeln!(out, "@rydberg");
-        }
+        Annotation::Rydberg => out.push_str("@rydberg\n"),
         Annotation::Other { keyword, content } => {
-            if content.is_empty() {
-                let _ = writeln!(out, "@{keyword}");
-            } else {
-                let _ = writeln!(out, "@{keyword} {content}");
+            out.push('@');
+            out.push_str(keyword);
+            if !content.is_empty() {
+                out.push(' ');
+                out.push_str(content);
             }
+            out.push('\n');
         }
     }
 }
 
-fn fmt_list(xs: &[f64]) -> String {
-    xs.iter()
-        .map(|x| fmt_f64(*x))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// ` x y z` and the line end of a Raman pulse.
+fn push_xyz(x: f64, y: f64, z: f64, out: &mut String) {
+    for v in [x, y, z] {
+        out.push(' ');
+        push_f64(v, out);
+    }
+    out.push('\n');
+}
+
+fn push_f64_list(xs: &[f64], out: &mut String) {
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_f64(*x, out);
+    }
+}
+
+fn push_qubit_list(qubits: &[QubitRef], out: &mut String) {
+    for (i, q) in qubits.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_qubit(q, out);
+    }
+}
+
+/// `register[index]`, as [`QubitRef`]'s `Display` writes it.
+fn push_qubit(q: &QubitRef, out: &mut String) {
+    out.push_str(&q.register);
+    out.push('[');
+    push_usize(q.index, out);
+    out.push(']');
+}
+
+/// Decimal digits of `n`, as `usize`'s `Display` writes them.
+fn push_usize(mut n: usize, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
 }
 
 /// Formats a float so the lexer round-trips it exactly: uses Rust's shortest
-/// representation, which `f64::parse` recovers losslessly.
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{:.1}", v)
+/// representation, which `f64::parse` recovers losslessly; integral values
+/// below 1e15 keep one decimal (`3.0`).
+fn push_f64(v: f64, out: &mut String) {
+    let _ = if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{v:.1}")
     } else {
-        format!("{v}")
-    }
+        write!(out, "{v}")
+    };
 }
 
 #[cfg(test)]
@@ -199,7 +321,21 @@ mod tests {
 
     #[test]
     fn integers_print_with_decimal() {
-        assert_eq!(fmt_f64(3.0), "3.0");
-        assert_eq!(fmt_f64(0.5), "0.5");
+        let f = |v: f64| {
+            let mut s = String::new();
+            push_f64(v, &mut s);
+            s
+        };
+        assert_eq!(f(3.0), "3.0");
+        assert_eq!(f(0.5), "0.5");
+    }
+
+    #[test]
+    fn integers_print_like_display() {
+        for n in [0usize, 7, 10, 99, 100, 12_345, usize::MAX] {
+            let mut s = String::new();
+            push_usize(n, &mut s);
+            assert_eq!(s, n.to_string());
+        }
     }
 }
