@@ -1,8 +1,11 @@
 //! Euler-angle extraction: writes an arbitrary single-qubit unitary as
 //! `e^{iα}·U3(θ, φ, λ)`. This is the workhorse of single-qubit gate fusion in
 //! the nativizer — any run of 1-qubit gates collapses to a single `U3`.
+//!
+//! Both decompositions work on the stack type [`Mat2`], whose operations
+//! round exactly as the heap [`Matrix`](weaver_simulator::Matrix) ones do.
 
-use weaver_simulator::{gates, Complex, Matrix};
+use weaver_simulator::{Complex, Mat2};
 
 /// The result of decomposing a `2 × 2` unitary into `e^{iα}·U3(θ, φ, λ)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,8 +22,8 @@ pub struct EulerAngles {
 
 impl EulerAngles {
     /// Rebuilds the exact matrix `e^{iα}·U3(θ, φ, λ)`.
-    pub fn to_matrix(self) -> Matrix {
-        gates::u3(self.theta, self.phi, self.lambda).scale(Complex::from_polar(self.global_phase))
+    pub fn to_matrix(self) -> Mat2 {
+        Mat2::u3(self.theta, self.phi, self.lambda).scale(Complex::from_polar(self.global_phase))
     }
 }
 
@@ -28,20 +31,18 @@ impl EulerAngles {
 ///
 /// # Panics
 ///
-/// Panics if `m` is not `2 × 2` or is not unitary to within `1e-8`.
+/// Panics if `m` is not unitary to within `1e-8`.
 ///
 /// # Examples
 ///
 /// ```
 /// use weaver_circuit::euler::decompose_u3;
-/// use weaver_simulator::gates;
-/// let angles = decompose_u3(&gates::h());
+/// use weaver_simulator::Mat2;
+/// let angles = decompose_u3(&Mat2::h());
 /// let rebuilt = angles.to_matrix();
-/// assert!(rebuilt.approx_eq(&gates::h(), 1e-10));
+/// assert!(rebuilt.approx_eq(Mat2::h(), 1e-10));
 /// ```
-pub fn decompose_u3(m: &Matrix) -> EulerAngles {
-    assert_eq!(m.rows(), 2, "expected a single-qubit matrix");
-    assert_eq!(m.cols(), 2, "expected a single-qubit matrix");
+pub fn decompose_u3(m: &Mat2) -> EulerAngles {
     assert!(m.is_unitary(1e-8), "matrix is not unitary");
 
     let m00 = m[(0, 0)];
@@ -96,9 +97,8 @@ pub struct ZyxAngles {
 
 impl ZyxAngles {
     /// Rebuilds the exact matrix `e^{iα}·RZ(z)·RY(y)·RX(x)`.
-    pub fn to_matrix(self) -> Matrix {
-        let m = &(&gates::rz(self.z) * &gates::ry(self.y)) * &gates::rx(self.x);
-        m.scale(Complex::from_polar(self.global_phase))
+    pub fn to_matrix(self) -> Mat2 {
+        Mat2::raman(self.x, self.y, self.z).scale(Complex::from_polar(self.global_phase))
     }
 }
 
@@ -107,28 +107,27 @@ impl ZyxAngles {
 ///
 /// # Panics
 ///
-/// Panics if `m` is not `2 × 2` or not unitary to within `1e-8`.
+/// Panics if `m` is not unitary to within `1e-8`.
 ///
 /// # Examples
 ///
 /// ```
 /// use weaver_circuit::euler::decompose_zyx;
-/// use weaver_simulator::gates;
-/// let a = decompose_zyx(&gates::h());
-/// assert!(a.to_matrix().approx_eq(&gates::h(), 1e-9));
+/// use weaver_simulator::Mat2;
+/// let a = decompose_zyx(&Mat2::h());
+/// assert!(a.to_matrix().approx_eq(Mat2::h(), 1e-9));
 /// ```
-pub fn decompose_zyx(m: &Matrix) -> ZyxAngles {
-    assert_eq!(m.rows(), 2, "expected a single-qubit matrix");
-    assert_eq!(m.cols(), 2, "expected a single-qubit matrix");
+pub fn decompose_zyx(m: &Mat2) -> ZyxAngles {
     assert!(m.is_unitary(1e-8), "matrix is not unitary");
 
     // Adjoint representation: R[i][j] = ½ Tr(σᵢ · M · σⱼ · M†).
-    let paulis = [gates::x(), gates::y(), gates::z()];
+    let paulis = [Mat2::x(), Mat2::y(), Mat2::z()];
+    let m = *m;
     let mdag = m.adjoint();
     let mut r = [[0.0f64; 3]; 3];
-    for (i, si) in paulis.iter().enumerate() {
-        for (j, sj) in paulis.iter().enumerate() {
-            let prod = &(&(si * m) * sj) * &mdag;
+    for (i, &si) in paulis.iter().enumerate() {
+        for (j, &sj) in paulis.iter().enumerate() {
+            let prod = si * m * sj * mdag;
             r[i][j] = 0.5 * prod.trace().re;
         }
     }
@@ -158,7 +157,7 @@ pub fn decompose_zyx(m: &Matrix) -> ZyxAngles {
     let y = normalize_angle(y);
     let z = normalize_angle(z);
     // Recover the global phase by comparing against the reconstruction.
-    let bare = &(&gates::rz(z) * &gates::ry(y)) * &gates::rx(x);
+    let bare = Mat2::raman(x, y, z);
     // Use the largest-magnitude entry for numerical stability.
     let mut best = (0, 0);
     let mut mag = -1.0;
@@ -197,12 +196,11 @@ pub fn is_identity_u3(theta: f64, phi: f64, lambda: f64, tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weaver_simulator::gates;
 
     const TOL: f64 = 1e-10;
 
-    fn roundtrip(m: &Matrix) {
-        let angles = decompose_u3(m);
+    fn roundtrip(m: Mat2) {
+        let angles = decompose_u3(&m);
         assert!(
             angles.to_matrix().approx_eq(m, TOL),
             "roundtrip failed: {angles:?} for {m:?}"
@@ -212,17 +210,17 @@ mod tests {
     #[test]
     fn named_gates_roundtrip() {
         for m in [
-            gates::id(),
-            gates::x(),
-            gates::y(),
-            gates::z(),
-            gates::h(),
-            gates::s(),
-            gates::sdg(),
-            gates::t(),
-            gates::tdg(),
+            Mat2::identity(),
+            Mat2::x(),
+            Mat2::y(),
+            Mat2::z(),
+            Mat2::h(),
+            Mat2::s(),
+            Mat2::sdg(),
+            Mat2::t(),
+            Mat2::tdg(),
         ] {
-            roundtrip(&m);
+            roundtrip(m);
         }
     }
 
@@ -230,31 +228,31 @@ mod tests {
     fn rotations_roundtrip() {
         for k in 0..24 {
             let a = k as f64 * 0.53 - 6.0;
-            roundtrip(&gates::rx(a));
-            roundtrip(&gates::ry(a));
-            roundtrip(&gates::rz(a));
-            roundtrip(&gates::u3(a, 0.9 * a, -1.3 * a));
+            roundtrip(Mat2::rx(a));
+            roundtrip(Mat2::ry(a));
+            roundtrip(Mat2::rz(a));
+            roundtrip(Mat2::u3(a, 0.9 * a, -1.3 * a));
         }
     }
 
     #[test]
     fn products_roundtrip() {
-        let m = &(&gates::h() * &gates::t()) * &gates::rx(0.77);
-        roundtrip(&m);
-        let m2 = &(&gates::rz(2.1) * &gates::ry(-0.4)) * &gates::s();
-        roundtrip(&m2);
+        let m = Mat2::h() * Mat2::t() * Mat2::rx(0.77);
+        roundtrip(m);
+        let m2 = Mat2::rz(2.1) * Mat2::ry(-0.4) * Mat2::s();
+        roundtrip(m2);
     }
 
     #[test]
     fn theta_zero_and_pi_edge_cases() {
-        roundtrip(&gates::rz(1.0)); // θ = 0 family
-        roundtrip(&gates::x()); // θ = π family
-        let xish = &gates::x() * &gates::p(0.6);
-        roundtrip(&xish);
+        roundtrip(Mat2::rz(1.0)); // θ = 0 family
+        roundtrip(Mat2::x()); // θ = π family
+        let xish = Mat2::x() * Mat2::p(0.6);
+        roundtrip(xish);
     }
 
-    fn zyx_roundtrip(m: &Matrix) {
-        let a = decompose_zyx(m);
+    fn zyx_roundtrip(m: Mat2) {
+        let a = decompose_zyx(&m);
         assert!(
             a.to_matrix().approx_eq(m, 1e-9),
             "zyx roundtrip failed: {a:?} for {m:?}"
@@ -264,16 +262,16 @@ mod tests {
     #[test]
     fn zyx_named_gates_roundtrip() {
         for m in [
-            gates::id(),
-            gates::x(),
-            gates::y(),
-            gates::z(),
-            gates::h(),
-            gates::s(),
-            gates::t(),
-            gates::sdg(),
+            Mat2::identity(),
+            Mat2::x(),
+            Mat2::y(),
+            Mat2::z(),
+            Mat2::h(),
+            Mat2::s(),
+            Mat2::t(),
+            Mat2::sdg(),
         ] {
-            zyx_roundtrip(&m);
+            zyx_roundtrip(m);
         }
     }
 
@@ -281,27 +279,27 @@ mod tests {
     fn zyx_rotations_and_products_roundtrip() {
         for k in 0..24 {
             let a = k as f64 * 0.47 - 5.5;
-            zyx_roundtrip(&gates::rx(a));
-            zyx_roundtrip(&gates::ry(a));
-            zyx_roundtrip(&gates::rz(a));
-            zyx_roundtrip(&gates::u3(a, 0.6 * a, -1.1 * a));
+            zyx_roundtrip(Mat2::rx(a));
+            zyx_roundtrip(Mat2::ry(a));
+            zyx_roundtrip(Mat2::rz(a));
+            zyx_roundtrip(Mat2::u3(a, 0.6 * a, -1.1 * a));
         }
-        zyx_roundtrip(&(&(&gates::h() * &gates::t()) * &gates::rx(0.9)));
+        zyx_roundtrip(Mat2::h() * Mat2::t() * Mat2::rx(0.9));
     }
 
     #[test]
     fn zyx_gimbal_lock_cases() {
         use std::f64::consts::FRAC_PI_2;
-        zyx_roundtrip(&gates::ry(FRAC_PI_2));
-        zyx_roundtrip(&gates::ry(-FRAC_PI_2));
-        zyx_roundtrip(&(&gates::ry(FRAC_PI_2) * &gates::rz(0.8)));
+        zyx_roundtrip(Mat2::ry(FRAC_PI_2));
+        zyx_roundtrip(Mat2::ry(-FRAC_PI_2));
+        zyx_roundtrip(Mat2::ry(FRAC_PI_2) * Mat2::rz(0.8));
     }
 
     #[test]
     fn zyx_pure_rotations_recover_axis_angle() {
-        let a = decompose_zyx(&gates::rx(0.7));
+        let a = decompose_zyx(&Mat2::rx(0.7));
         assert!((a.x - 0.7).abs() < 1e-9 && a.y.abs() < 1e-9 && a.z.abs() < 1e-9);
-        let a = decompose_zyx(&gates::rz(-1.2));
+        let a = decompose_zyx(&Mat2::rz(-1.2));
         assert!((a.z + 1.2).abs() < 1e-9 && a.x.abs() < 1e-9 && a.y.abs() < 1e-9);
     }
 

@@ -6,7 +6,8 @@
 //! `CX`, `CCX`, …) that appear in QAOA circuits before lowering.
 
 use std::fmt;
-use weaver_simulator::{gates as mat, Matrix};
+use std::ops::Deref;
+use weaver_simulator::{gates as mat, Mat2, Matrix};
 
 /// A quantum gate (unitary operation). Qubit arity is intrinsic to the
 /// variant; the qubits it acts on live in
@@ -106,20 +107,10 @@ impl Gate {
 
     /// The gate's unitary matrix (`2^k × 2^k`).
     pub fn matrix(&self) -> Matrix {
+        if let Some(m) = self.mat2() {
+            return m.into();
+        }
         match *self {
-            Gate::X => mat::x(),
-            Gate::Y => mat::y(),
-            Gate::Z => mat::z(),
-            Gate::H => mat::h(),
-            Gate::S => mat::s(),
-            Gate::Sdg => mat::sdg(),
-            Gate::T => mat::t(),
-            Gate::Tdg => mat::tdg(),
-            Gate::Rx(t) => mat::rx(t),
-            Gate::Ry(t) => mat::ry(t),
-            Gate::Rz(t) => mat::rz(t),
-            Gate::P(l) => mat::p(l),
-            Gate::U3(t, p, l) => mat::u3(t, p, l),
             Gate::Cx => mat::cx(),
             Gate::Cz => mat::cz(),
             Gate::Crz(t) => mat::crz(t),
@@ -127,7 +118,29 @@ impl Gate {
             Gate::Ccx => mat::ccx(),
             Gate::Ccz => mat::ccz(),
             Gate::CnZ(n) => mat::cnz(n),
+            ref g => unreachable!("1-qubit gate {g} has a 2×2 matrix"),
         }
+    }
+
+    /// The `2 × 2` matrix of a single-qubit gate, on the stack (`None` for
+    /// multi-qubit gates). [`Gate::matrix`] converts the same value.
+    pub fn mat2(&self) -> Option<Mat2> {
+        Some(match *self {
+            Gate::X => Mat2::x(),
+            Gate::Y => Mat2::y(),
+            Gate::Z => Mat2::z(),
+            Gate::H => Mat2::h(),
+            Gate::S => Mat2::s(),
+            Gate::Sdg => Mat2::sdg(),
+            Gate::T => Mat2::t(),
+            Gate::Tdg => Mat2::tdg(),
+            Gate::Rx(t) => Mat2::rx(t),
+            Gate::Ry(t) => Mat2::ry(t),
+            Gate::Rz(t) => Mat2::rz(t),
+            Gate::P(l) => Mat2::p(l),
+            Gate::U3(t, p, l) => Mat2::u3(t, p, l),
+            _ => return None,
+        })
     }
 
     /// The inverse gate, as a gate (not a matrix).
@@ -172,12 +185,30 @@ impl Gate {
     }
 
     /// The rotation/phase parameters of the gate, if any.
-    pub fn params(&self) -> Vec<f64> {
-        match *self {
-            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::P(t) | Gate::Crz(t) => vec![t],
-            Gate::U3(t, p, l) => vec![t, p, l],
-            _ => Vec::new(),
-        }
+    pub fn params(&self) -> GateParams {
+        let (values, len) = match *self {
+            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::P(t) | Gate::Crz(t) => {
+                ([t, 0.0, 0.0], 1)
+            }
+            Gate::U3(t, p, l) => ([t, p, l], 3),
+            _ => ([0.0; 3], 0),
+        };
+        GateParams { values, len }
+    }
+}
+
+/// A gate's parameters, held inline (a gate has at most three); derefs to
+/// the `[f64]` slice of them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GateParams {
+    values: [f64; 3],
+    len: usize,
+}
+
+impl Deref for GateParams {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len]
     }
 }
 

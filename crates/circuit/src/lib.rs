@@ -41,5 +41,5 @@ pub mod optimize;
 
 pub use circuit::{Circuit, Instruction, Operation};
 pub use dag::DependencyDag;
-pub use gate::Gate;
+pub use gate::{Gate, GateParams};
 pub use native::NativeBasis;

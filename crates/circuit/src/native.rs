@@ -9,7 +9,7 @@
 
 use crate::euler::{decompose_u3, is_identity_u3};
 use crate::{decompose::decompose_circuit, Circuit, Gate, Operation};
-use weaver_simulator::Matrix;
+use weaver_simulator::Mat2;
 
 /// The target native basis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -60,16 +60,13 @@ pub fn nativize(circuit: &Circuit, basis: NativeBasis) -> Circuit {
     for op in elementary.operations() {
         match op {
             Operation::Gate(instr) => match instr.gate {
-                ref g if g.num_qubits() == 1 => {
-                    fuser.absorb(instr.qubits[0], &g.matrix());
-                }
                 Gate::Cx => {
                     let (c, t) = (instr.qubits[0], instr.qubits[1]);
-                    fuser.absorb(t, &Gate::H.matrix());
+                    fuser.absorb(t, Mat2::h());
                     fuser.flush(c, &mut out);
                     fuser.flush(t, &mut out);
                     out.push(Gate::Cz, &[c, t]);
-                    fuser.absorb(t, &Gate::H.matrix());
+                    fuser.absorb(t, Mat2::h());
                 }
                 Gate::Cz | Gate::Ccz => {
                     for &q in &instr.qubits {
@@ -77,7 +74,10 @@ pub fn nativize(circuit: &Circuit, basis: NativeBasis) -> Circuit {
                     }
                     out.push(instr.gate.clone(), &instr.qubits);
                 }
-                ref g => unreachable!("non-elementary gate {g} after decomposition"),
+                ref g => match g.mat2() {
+                    Some(m) => fuser.absorb(instr.qubits[0], m),
+                    None => unreachable!("non-elementary gate {g} after decomposition"),
+                },
             },
             Operation::Measure(q) => {
                 fuser.flush(*q, &mut out);
@@ -100,9 +100,9 @@ pub fn nativize(circuit: &Circuit, basis: NativeBasis) -> Circuit {
 }
 
 /// Accumulates pending single-qubit unitaries per wire and emits them as
-/// fused `U3` gates on demand.
+/// fused `U3` gates on demand. The products live on the stack.
 struct SingleQubitFuser {
-    pending: Vec<Option<Matrix>>,
+    pending: Vec<Option<Mat2>>,
 }
 
 impl SingleQubitFuser {
@@ -113,12 +113,12 @@ impl SingleQubitFuser {
     }
 
     /// Multiplies a new gate onto the pending unitary of `qubit`.
-    fn absorb(&mut self, qubit: usize, gate: &Matrix) {
-        let acc = match self.pending[qubit].take() {
-            Some(prev) => gate * &prev,
-            None => gate.clone(),
-        };
-        self.pending[qubit] = Some(acc);
+    fn absorb(&mut self, qubit: usize, gate: Mat2) {
+        let pending = &mut self.pending[qubit];
+        *pending = Some(match *pending {
+            Some(prev) => gate * prev,
+            None => gate,
+        });
     }
 
     /// Emits the pending unitary of `qubit` (if non-identity) as one `U3`.

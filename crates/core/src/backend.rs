@@ -255,13 +255,16 @@ impl CompiledArtifact {
         }
     }
 
-    /// The artifact's wQasm text. Unlike [`CompiledArtifact::to_program`],
-    /// the FPQA path prints its program by reference — no AST clone on the
-    /// batch hot path.
+    /// The artifact's wQasm text: `print(&self.to_program())`, without
+    /// building a program. The FPQA path prints its program by reference;
+    /// the others print their circuit straight from the IR.
     pub fn print_wqasm(&self) -> String {
         match self {
             CompiledArtifact::Fpqa(compiled) => weaver_wqasm::print(&compiled.program),
-            _ => weaver_wqasm::print(&self.to_program()),
+            CompiledArtifact::Superconducting { circuit, .. } => {
+                weaver_wqasm::print_circuit(circuit)
+            }
+            CompiledArtifact::Simulator(run) => weaver_wqasm::print_circuit(&run.native),
         }
     }
 

@@ -32,9 +32,11 @@ pub struct Digest(pub [u8; 32]);
 impl Digest {
     /// Lower-case hex rendering (cache file names, JSONL records).
     pub fn to_hex(self) -> String {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
+            s.push(char::from(NIBBLES[usize::from(b >> 4)]));
+            s.push(char::from(NIBBLES[usize::from(b & 0xf)]));
         }
         s
     }
@@ -427,6 +429,20 @@ mod tests {
         let mut h = Blake2s::new();
         h.update(data);
         h.finalize().to_hex()
+    }
+
+    #[test]
+    fn to_hex_writes_every_byte_as_format_does() {
+        for b in 0..=255u8 {
+            let hex = Digest([b; 32]).to_hex();
+            assert_eq!(hex, format!("{b:02x}").repeat(32), "byte {b}");
+        }
+        let mut ramp = [0u8; 32];
+        for (i, v) in ramp.iter_mut().enumerate() {
+            *v = (i * 37 + 5) as u8;
+        }
+        let expected: String = ramp.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(Digest(ramp).to_hex(), expected);
     }
 
     #[test]

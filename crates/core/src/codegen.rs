@@ -25,7 +25,7 @@ use weaver_circuit::euler::{decompose_u3, decompose_zyx, is_identity_u3};
 use weaver_circuit::{Circuit, Gate, Instruction};
 use weaver_fpqa::{FpqaDevice, FpqaParams, Location, Point, PulseOp, PulseSchedule};
 use weaver_sat::{qaoa::QaoaParams, Clause, Formula, PhasePolynomial};
-use weaver_simulator::Matrix;
+use weaver_simulator::Mat2;
 use weaver_wqasm::{Annotation, BindTarget, Program, QubitRef, ShuttleAxis, Statement};
 
 /// Options controlling the wOptimizer passes (ablation switches of
@@ -291,13 +291,13 @@ impl<'a> Emitter<'a> {
         }
 
         // Initialization layer: global H.
-        self.emit_global_raman(&Gate::H.matrix(), n);
+        self.emit_global_raman(Mat2::h(), n);
 
         let layers = self.options.qaoa.layers.clone();
         for (gamma, beta) in layers {
             self.emit_cost_evolution(gamma);
             // Mixer: global RX(2β).
-            self.emit_global_raman(&Gate::Rx(2.0 * beta).matrix(), n);
+            self.emit_global_raman(Mat2::rx(2.0 * beta), n);
         }
 
         if self.options.measure {
@@ -516,8 +516,7 @@ impl<'a> Emitter<'a> {
             // Raman segments of active clauses.
             for exec in execs {
                 if slot < exec.entanglers.len() {
-                    let seg = exec.segments[slot].clone();
-                    self.emit_raman_segment(&seg);
+                    self.emit_raman_segment(&exec.segments[slot]);
                 }
             }
 
@@ -531,9 +530,8 @@ impl<'a> Emitter<'a> {
         }
 
         // Closing segments, then everyone home.
-        for exec in execs {
-            let seg = exec.segments.last().cloned().unwrap_or_default();
-            self.emit_raman_segment(&seg);
+        for seg in execs.iter().filter_map(|e| e.segments.last()) {
+            self.emit_raman_segment(seg);
         }
         let mut desired: HashMap<usize, Point> = HashMap::new();
         for exec in execs {
@@ -665,28 +663,23 @@ impl<'a> Emitter<'a> {
     /// Fuses a run of single-qubit gates per qubit and emits each fused
     /// unitary as one `u3` statement with a `@raman local` annotation.
     fn emit_raman_segment(&mut self, instrs: &[Instruction]) {
-        // Per-qubit accumulation in first-touch order.
-        let mut order: Vec<usize> = Vec::new();
-        let mut acc: HashMap<usize, Matrix> = HashMap::new();
+        // Per-qubit accumulation in first-touch order; a segment touches a
+        // handful of qubits, so a linear scan beats hashing.
+        let mut acc: Vec<(usize, Mat2)> = Vec::new();
         for i in instrs {
-            debug_assert_eq!(i.gate.num_qubits(), 1);
             let q = i.qubits[0];
-            let m = i.gate.matrix();
-            match acc.get_mut(&q) {
-                Some(prev) => *prev = &m * prev,
-                None => {
-                    order.push(q);
-                    acc.insert(q, m);
-                }
+            let m = i.gate.mat2().expect("Raman segments hold 1-qubit gates");
+            match acc.iter_mut().find(|(p, _)| *p == q) {
+                Some((_, prev)) => *prev = m * *prev,
+                None => acc.push((q, m)),
             }
         }
-        for q in order {
-            let m = &acc[&q];
-            let u = decompose_u3(m);
+        for (q, m) in acc {
+            let u = decompose_u3(&m);
             if is_identity_u3(u.theta, u.phi, u.lambda, 1e-12) {
                 continue;
             }
-            let zyx = decompose_zyx(m);
+            let zyx = decompose_zyx(&m);
             let mut annotations = std::mem::take(&mut self.pending);
             annotations.push(Annotation::RamanLocal {
                 qubit: QubitRef::q(q),
@@ -710,9 +703,9 @@ impl<'a> Emitter<'a> {
 
     /// Emits one global Raman pulse applying `matrix` to every qubit:
     /// `n` logical `u3` statements, annotation on the first.
-    fn emit_global_raman(&mut self, matrix: &Matrix, n: usize) {
-        let u = decompose_u3(matrix);
-        let zyx = decompose_zyx(matrix);
+    fn emit_global_raman(&mut self, matrix: Mat2, n: usize) {
+        let u = decompose_u3(&matrix);
+        let zyx = decompose_zyx(&matrix);
         for q in 0..n {
             let mut annotations = std::mem::take(&mut self.pending);
             if q == 0 {

@@ -2,113 +2,74 @@
 //!
 //! All constructors return freshly allocated [`Matrix`] values in the
 //! computational basis with the convention that the first listed qubit is the
-//! most significant index bit (see [`crate::State`]).
+//! most significant index bit (see [`crate::State`]). The single-qubit gates
+//! are defined on the stack type [`Mat2`] and converted.
 
-use crate::{Complex, Matrix};
+use crate::{Complex, Mat2, Matrix};
 
 /// Identity on one qubit.
 pub fn id() -> Matrix {
-    Matrix::identity(2)
+    Mat2::identity().into()
 }
 
 /// Pauli-X (NOT).
 pub fn x() -> Matrix {
-    Matrix::from_reals(2, &[0.0, 1.0, 1.0, 0.0])
+    Mat2::x().into()
 }
 
 /// Pauli-Y.
 pub fn y() -> Matrix {
-    Matrix::from_rows(
-        2,
-        2,
-        &[Complex::ZERO, -Complex::I, Complex::I, Complex::ZERO],
-    )
+    Mat2::y().into()
 }
 
 /// Pauli-Z.
 pub fn z() -> Matrix {
-    Matrix::from_reals(2, &[1.0, 0.0, 0.0, -1.0])
+    Mat2::z().into()
 }
 
 /// Hadamard.
 pub fn h() -> Matrix {
-    let s = std::f64::consts::FRAC_1_SQRT_2;
-    Matrix::from_reals(2, &[s, s, s, -s])
+    Mat2::h().into()
 }
 
 /// Phase gate S = diag(1, i).
 pub fn s() -> Matrix {
-    Matrix::from_rows(
-        2,
-        2,
-        &[Complex::ONE, Complex::ZERO, Complex::ZERO, Complex::I],
-    )
+    Mat2::s().into()
 }
 
 /// S† = diag(1, -i).
 pub fn sdg() -> Matrix {
-    s().adjoint()
+    Mat2::sdg().into()
 }
 
 /// T = diag(1, e^{iπ/4}).
 pub fn t() -> Matrix {
-    Matrix::from_rows(
-        2,
-        2,
-        &[
-            Complex::ONE,
-            Complex::ZERO,
-            Complex::ZERO,
-            Complex::from_polar(std::f64::consts::FRAC_PI_4),
-        ],
-    )
+    Mat2::t().into()
 }
 
 /// T† = diag(1, e^{-iπ/4}).
 pub fn tdg() -> Matrix {
-    t().adjoint()
+    Mat2::tdg().into()
 }
 
 /// Rotation about X: `RX(θ) = exp(-iθX/2)`.
 pub fn rx(theta: f64) -> Matrix {
-    let c = Complex::real((theta / 2.0).cos());
-    let s = Complex::new(0.0, -(theta / 2.0).sin());
-    Matrix::from_rows(2, 2, &[c, s, s, c])
+    Mat2::rx(theta).into()
 }
 
 /// Rotation about Y: `RY(θ) = exp(-iθY/2)`.
 pub fn ry(theta: f64) -> Matrix {
-    let c = (theta / 2.0).cos();
-    let s = (theta / 2.0).sin();
-    Matrix::from_reals(2, &[c, -s, s, c])
+    Mat2::ry(theta).into()
 }
 
 /// Rotation about Z: `RZ(θ) = exp(-iθZ/2) = diag(e^{-iθ/2}, e^{iθ/2})`.
 pub fn rz(theta: f64) -> Matrix {
-    Matrix::from_rows(
-        2,
-        2,
-        &[
-            Complex::from_polar(-theta / 2.0),
-            Complex::ZERO,
-            Complex::ZERO,
-            Complex::from_polar(theta / 2.0),
-        ],
-    )
+    Mat2::rz(theta).into()
 }
 
 /// Phase gate `P(λ) = diag(1, e^{iλ})` (RZ up to global phase).
 pub fn p(lambda: f64) -> Matrix {
-    Matrix::from_rows(
-        2,
-        2,
-        &[
-            Complex::ONE,
-            Complex::ZERO,
-            Complex::ZERO,
-            Complex::from_polar(lambda),
-        ],
-    )
+    Mat2::p(lambda).into()
 }
 
 /// The generic single-qubit gate in OpenQASM convention:
@@ -116,25 +77,14 @@ pub fn p(lambda: f64) -> Matrix {
 /// `U3(θ, φ, λ) = [[cos(θ/2), -e^{iλ} sin(θ/2)],
 ///                 [e^{iφ} sin(θ/2), e^{i(φ+λ)} cos(θ/2)]]`.
 pub fn u3(theta: f64, phi: f64, lambda: f64) -> Matrix {
-    let c = (theta / 2.0).cos();
-    let s = (theta / 2.0).sin();
-    Matrix::from_rows(
-        2,
-        2,
-        &[
-            Complex::real(c),
-            -(Complex::from_polar(lambda).scale(s)),
-            Complex::from_polar(phi).scale(s),
-            Complex::from_polar(phi + lambda).scale(c),
-        ],
-    )
+    Mat2::u3(theta, phi, lambda).into()
 }
 
 /// A Raman rotation `R(x, y, z) = RZ(z)·RY(y)·RX(x)` — the unitary applied by
 /// an FPQA Raman pulse with the three Euler angles of the wQasm `@raman`
 /// annotation.
 pub fn raman(x: f64, y: f64, z: f64) -> Matrix {
-    &(&rz(z) * &ry(y)) * &rx(x)
+    Mat2::raman(x, y, z).into()
 }
 
 /// Controlled-X (CNOT) with qubit order `[control, target]`.

@@ -5,6 +5,8 @@
 //!
 //! * [`Complex`] — a dependency-free `f64` complex scalar,
 //! * [`Matrix`] — dense complex matrices with Kronecker products,
+//! * [`Mat2`] — a stack `2 × 2` matrix for single-qubit gate algebra,
+//!   bit-identical to the same computation on [`Matrix`],
 //! * [`gates`] — the standard gate matrices (Paulis, rotations, `U3`, `CZ`,
 //!   `CCZ`, `CⁿZ`, …),
 //! * [`State`] — a state-vector simulator for functional testing,
@@ -35,12 +37,14 @@ mod complex;
 pub mod equiv;
 pub mod gates;
 pub mod kernels;
+mod mat2;
 mod matrix;
 mod state;
 mod unitary;
 
 pub use complex::Complex;
 pub use equiv::Equivalence;
+pub use mat2::Mat2;
 pub use matrix::Matrix;
 pub use state::State;
 pub use unitary::UnitaryBuilder;

@@ -134,9 +134,31 @@ impl GateTable {
     }
 }
 
+/// One step of a trial's routing, logged instead of built into a circuit:
+/// DAG node `node` executed on physical qubits `(p0, p1)` (`p1` unused for
+/// 1-qubit gates), or, when `node == SWAP_STEP`, a SWAP of `(p0, p1)`.
+#[derive(Clone, Copy)]
+struct Step {
+    node: usize,
+    p0: usize,
+    p1: usize,
+}
+
+const SWAP_STEP: usize = usize::MAX;
+
+/// What a trial leaves besides its step log.
+struct TrialOutcome {
+    swap_count: usize,
+    initial_layout: Vec<usize>,
+    final_layout: Vec<usize>,
+    steps: u64,
+}
+
 /// Scratch buffers reused across the routing trials of one [`route`] call;
 /// nothing here is reallocated inside the search loop.
 struct RouteBuffers {
+    /// The running trial's step log.
+    log: Vec<Step>,
     pending_preds: Vec<usize>,
     front: Vec<usize>,
     next_front: Vec<usize>,
@@ -163,6 +185,7 @@ struct RouteBuffers {
 impl RouteBuffers {
     fn new(num_nodes: usize, num_physical: usize) -> Self {
         RouteBuffers {
+            log: Vec::new(),
             pending_preds: vec![0; num_nodes],
             front: Vec::new(),
             next_front: Vec::new(),
@@ -204,8 +227,10 @@ impl RouteBuffers {
 /// dependency DAG is built once and shared by all trials, candidate scoring
 /// swaps the live layout and reverts it instead of cloning, and every
 /// per-round collection (`front`, `candidates`, `extended`) lives in
-/// reusable flat buffers. Output is byte-identical to the reference router
-/// (`tests/sabre_differential.rs` proves it per device).
+/// reusable flat buffers. A trial only logs its steps into a flat buffer;
+/// the winning trial's log alone becomes a [`Circuit`]. Output is
+/// byte-identical to the reference router (`tests/sabre_differential.rs`
+/// proves it per device).
 ///
 /// # Errors
 ///
@@ -235,28 +260,55 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap) -> Result<RoutedCircuit,
     let dag = DependencyDag::from_circuit(circuit);
     let gates = GateTable::new(&dag);
     let mut buffers = RouteBuffers::new(dag.len(), coupling.num_qubits());
-    let mut best: Option<RoutedCircuit> = None;
+    let mut best: Option<TrialOutcome> = None;
+    let mut best_log: Vec<Step> = Vec::new();
     let mut total_steps = 0u64;
     for trial in 0..TRIALS {
-        let mut result = route_once(circuit, &dag, &gates, coupling, trial, &mut buffers);
+        let result = route_once(circuit, &dag, &gates, coupling, trial, &mut buffers);
         total_steps += result.steps;
         if best
             .as_ref()
             .is_none_or(|b| result.swap_count < b.swap_count)
         {
-            result.steps = 0; // replaced with the total below
             best = Some(result);
+            std::mem::swap(&mut best_log, &mut buffers.log);
         }
     }
-    let mut best = best.expect("at least one trial ran");
-    best.steps = total_steps;
+    let best = best.expect("at least one trial ran");
+
+    let mut out = Circuit::new(coupling.num_qubits());
+    for &Step { node, p0, p1 } in &best_log {
+        if node == SWAP_STEP {
+            out.push(Gate::Swap, &[p0, p1]);
+        } else {
+            let gate = dag.instruction(node).gate.clone();
+            if gates.is_two_qubit[node] {
+                out.push(gate, &[p0, p1]);
+            } else {
+                out.push(gate, &[p0]);
+            }
+        }
+    }
+    // Re-attach measurements on final physical wires.
+    for op in circuit.operations() {
+        if let Operation::Measure(q) = op {
+            out.measure(best.final_layout[*q]);
+        }
+    }
     span.set_arg("swaps", best.swap_count);
-    Ok(best)
+    Ok(RoutedCircuit {
+        circuit: out,
+        swap_count: best.swap_count,
+        initial_layout: best.initial_layout,
+        final_layout: best.final_layout,
+        steps: total_steps,
+    })
 }
 
 /// One SABRE routing pass with a seeded initial layout (`seed = 0` is the
-/// trivial layout; other seeds shuffle deterministically). Preconditions
-/// (width, connectivity, arity) are checked by [`route`].
+/// trivial layout; other seeds shuffle deterministically), logging its
+/// steps into `buffers.log`. Preconditions (width, connectivity, arity) are
+/// checked by [`route`].
 fn route_once(
     circuit: &Circuit,
     dag: &DependencyDag,
@@ -264,7 +316,7 @@ fn route_once(
     coupling: &CouplingMap,
     seed: u64,
     buffers: &mut RouteBuffers,
-) -> RoutedCircuit {
+) -> TrialOutcome {
     let mut layout = Layout::trivial(circuit.num_qubits(), coupling.num_qubits());
     // Deterministic Fisher–Yates-style shuffle of the initial placement for
     // trials beyond the first (splitmix64 stream).
@@ -284,7 +336,7 @@ fn route_once(
         }
     }
     let initial_layout = layout.l2p.clone();
-    let mut out = Circuit::new(coupling.num_qubits());
+    buffers.log.clear();
     let mut steps: u64 = 0;
     let mut swap_count = 0usize;
 
@@ -316,14 +368,16 @@ fn route_once(
             };
             steps += 1;
             if executable {
-                if gates.is_two_qubit[node] {
-                    out.push(
-                        dag.instruction(node).gate.clone(),
-                        &[layout.l2p[q0], layout.l2p[q1]],
-                    );
+                let p1 = if gates.is_two_qubit[node] {
+                    layout.l2p[q1]
                 } else {
-                    out.push(dag.instruction(node).gate.clone(), &[layout.l2p[q0]]);
-                }
+                    0
+                };
+                buffers.log.push(Step {
+                    node,
+                    p0: layout.l2p[q0],
+                    p1,
+                });
                 buffers.executed[node] = true;
                 progress = true;
                 for &succ in dag.successors(node) {
@@ -445,19 +499,15 @@ fn route_once(
         layout.swap_physical(a, b);
         buffers.bump_decay(a);
         buffers.bump_decay(b);
-        out.push(Gate::Swap, &[a, b]);
+        buffers.log.push(Step {
+            node: SWAP_STEP,
+            p0: a,
+            p1: b,
+        });
         swap_count += 1;
     }
 
-    // Re-attach measurements on final physical wires.
-    for op in circuit.operations() {
-        if let Operation::Measure(q) = op {
-            out.measure(layout.l2p[*q]);
-        }
-    }
-
-    RoutedCircuit {
-        circuit: out,
+    TrialOutcome {
         swap_count,
         initial_layout,
         final_layout: layout.l2p,

@@ -208,10 +208,13 @@ impl Annotation {
 }
 
 impl Program {
+    /// The version [`Program::new`] declares.
+    pub(crate) const DEFAULT_VERSION: &'static str = "3.0";
+
     /// Creates an OpenQASM-3-versioned empty program.
     pub fn new() -> Self {
         Program {
-            version: Some("3.0".to_string()),
+            version: Some(Self::DEFAULT_VERSION.to_string()),
             includes: Vec::new(),
             statements: Vec::new(),
         }

@@ -78,7 +78,7 @@ pub fn gate_from_name(name: &str, params: &[f64]) -> Result<Gate, ConvertError> 
 
 /// The wQasm mnemonic and parameters for a [`Gate`].
 pub fn gate_to_name(gate: &Gate) -> (&'static str, Vec<f64>) {
-    (gate.name(), gate.params())
+    (gate.name(), gate.params().to_vec())
 }
 
 /// Lowers a program to a [`Circuit`], flattening all quantum registers into

@@ -2,9 +2,14 @@
 //!
 //! The printer and [`crate::parse`] round-trip: `parse(print(p)) == p` up to
 //! floating-point formatting, which the property tests in this crate verify.
+//! [`print_circuit`] prints a [`Circuit`] straight from the IR, with the
+//! bytes [`print`] gives for its [`circuit_to_program`] lifting.
+//!
+//! [`circuit_to_program`]: crate::convert::circuit_to_program
 
 use crate::ast::*;
 use std::fmt::Write as _;
+use weaver_circuit::{Circuit, Operation};
 
 /// Pretty-prints a program as wQasm source.
 ///
@@ -41,11 +46,79 @@ pub fn print(program: &Program) -> String {
     out
 }
 
-/// About the printed length, from token counts: a shortest-round-trip
-/// float with its separator averages about 16 bytes, a qubit ref about 7.
+/// Prints a circuit as plain OpenQASM over register `q` (and `c` when it
+/// measures): the text of `print(&circuit_to_program(circuit))`, written
+/// from the IR without building the program.
+///
+/// # Examples
+///
+/// ```
+/// use weaver_circuit::Circuit;
+/// use weaver_wqasm::{convert::circuit_to_program, print, print_circuit};
+/// let mut c = Circuit::new(2);
+/// c.h(0).cx(0, 1).rz(0.5, 1).measure_all();
+/// assert_eq!(print_circuit(&c), print(&circuit_to_program(&c)));
+/// ```
+pub fn print_circuit(circuit: &Circuit) -> String {
+    let ops = circuit.operations();
+    let estimate: usize = ops
+        .iter()
+        .map(|op| match op {
+            Operation::Gate(i) => 8 + FLOAT * i.gate.params().len() + QUBIT * i.qubits.len(),
+            Operation::Measure(_) => 24,
+            Operation::Barrier(qs) => 10 + QUBIT * qs.len(),
+        })
+        .sum();
+    let mut out = String::with_capacity(64 + estimate);
+    out.push_str("OPENQASM ");
+    out.push_str(Program::DEFAULT_VERSION);
+    out.push_str(";\n");
+    let n = circuit.num_qubits();
+    print_decl("qreg ", "q", n, &mut out);
+    if ops.iter().any(|o| matches!(o, Operation::Measure(_))) {
+        print_decl("creg ", "c", n, &mut out);
+    }
+    for op in ops {
+        match op {
+            Operation::Gate(instr) => {
+                out.push_str(instr.gate.name());
+                let params = instr.gate.params();
+                if !params.is_empty() {
+                    out.push('(');
+                    push_f64_list(&params, &mut out);
+                    out.push(')');
+                }
+                out.push(' ');
+                push_q_list(&instr.qubits, &mut out);
+                out.push_str(";\n");
+            }
+            Operation::Measure(q) => {
+                out.push_str("measure ");
+                push_indexed("q", *q, &mut out);
+                out.push_str(" -> ");
+                push_indexed("c", *q, &mut out);
+                out.push_str(";\n");
+            }
+            Operation::Barrier(qs) => {
+                out.push_str("barrier");
+                if !qs.is_empty() {
+                    out.push(' ');
+                    push_q_list(qs, &mut out);
+                }
+                out.push_str(";\n");
+            }
+        }
+    }
+    out
+}
+
+/// About the printed length of a float with its separator (shortest
+/// round-trip form) and of a qubit ref, for pre-sizing the output.
+const FLOAT: usize = 16;
+const QUBIT: usize = 7;
+
+/// About the printed length, from token counts.
 fn estimated_len(program: &Program) -> usize {
-    const FLOAT: usize = 16;
-    const QUBIT: usize = 7;
     fn annotation_len(a: &Annotation) -> usize {
         match a {
             Annotation::Slm { positions } => 8 + (2 * FLOAT + 4) * positions.len(),
@@ -251,10 +324,24 @@ fn push_qubit_list(qubits: &[QubitRef], out: &mut String) {
 
 /// `register[index]`, as [`QubitRef`]'s `Display` writes it.
 fn push_qubit(q: &QubitRef, out: &mut String) {
-    out.push_str(&q.register);
+    push_indexed(&q.register, q.index, out);
+}
+
+fn push_indexed(register: &str, index: usize, out: &mut String) {
+    out.push_str(register);
     out.push('[');
-    push_usize(q.index, out);
+    push_usize(index, out);
     out.push(']');
+}
+
+/// Qubits of register `q`, comma-separated.
+fn push_q_list(qubits: &[usize], out: &mut String) {
+    for (i, &q) in qubits.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_indexed("q", q, out);
+    }
 }
 
 /// Decimal digits of `n`, as `usize`'s `Display` writes them.
@@ -317,6 +404,40 @@ mod tests {
     #[test]
     fn roundtrips_barriers_and_pragmas() {
         roundtrip("pragma weaver target fpqa;\nqreg q[2];\nbarrier;\nbarrier q[0], q[1];");
+    }
+
+    #[test]
+    fn circuits_print_as_their_lifted_program() {
+        use crate::convert::circuit_to_program;
+        use weaver_circuit::{Gate, Operation};
+        let same = |c: &Circuit| assert_eq!(print_circuit(c), print(&circuit_to_program(c)));
+        let mut c = Circuit::new(5);
+        for g in [
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Rx(0.5),
+            Gate::Ry(-0.0),
+            Gate::Rz(1e-7),
+            Gate::P(3.0),
+            Gate::U3(1e16, -2.5e-3, f64::NAN),
+        ] {
+            c.push(g, &[4]);
+        }
+        c.push(Gate::Cx, &[0, 1]).push(Gate::Cz, &[1, 2]);
+        c.push(Gate::Crz(0.25), &[2, 3]).push(Gate::Swap, &[4, 3]);
+        c.push(Gate::Ccx, &[0, 1, 2]).push(Gate::Ccz, &[2, 3, 4]);
+        c.push(Gate::CnZ(3), &[0, 1, 2, 3]);
+        c.barrier().push_op(Operation::Barrier(vec![1, 3]));
+        same(&c); // no measurement, so no `creg`
+        c.measure(2).measure_all();
+        same(&c);
+        same(&Circuit::new(0));
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Differential test of the wQasm printer: `weaver_wqasm::print` must be
 //! byte-identical to the previous `format!`/`join`-based printer, kept
 //! here verbatim as the oracle, on every fixture compiled for `fpqa`,
-//! `sc:eagle` and `simulator`, on generator instances of 6–100 variables,
-//! and on hand-built programs covering every float-formatting edge.
+//! `sc:eagle` and `simulator`, on generator instances of 6–100 variables
+//! (for `fpqa`, `sc:eagle`, `sc:heron` and `simulator`), and on hand-built
+//! programs covering every float-formatting edge. `sc:*` and `simulator`
+//! artifacts print from their circuit without a program; their text must
+//! equal the oracle's print of `to_program()`.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -254,6 +257,38 @@ fn generator_instances_print_identically() {
         let out = weaver.compile_target("fpqa", &formula).unwrap();
         assert_same(&out.artifact.to_program(), &format!("instance({n}, 1)"));
     }
+}
+
+/// `sc:*` and `simulator` artifacts print straight from their circuit
+/// (`weaver_wqasm::print_circuit`); the text must be the oracle's print of
+/// the lifted program.
+fn compare_circuit_artifacts(cases: &[(&str, usize)]) {
+    let weaver = Weaver::new();
+    for &(target, n) in cases {
+        let formula = generator::instance(n, 1);
+        let out = weaver.compile_target(target, &formula).unwrap();
+        let what = format!("instance({n}, 1)@{target}");
+        let program = out.artifact.to_program();
+        assert_same(&program, &what);
+        assert_eq!(
+            out.artifact.print_wqasm(),
+            oracle::print(&program),
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn routed_generator_instances_print_identically() {
+    compare_circuit_artifacts(&[
+        ("sc:eagle", 20),
+        ("sc:eagle", 50),
+        ("sc:eagle", 100),
+        ("sc:heron", 20),
+        ("sc:heron", 50),
+        ("sc:heron", 100),
+        ("simulator", 12),
+    ]);
 }
 
 fn gate(name: &str, params: Vec<f64>, qubits: &[usize], annotations: Vec<Annotation>) -> Statement {
