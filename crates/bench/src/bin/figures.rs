@@ -22,8 +22,10 @@
 //! MaxCut graphs through the `maxcut` lowering.
 //!
 //! `bench-sim` (never part of `all`) times the simulator's specialized
-//! kernels against the seed gather/scatter path and writes the tracked
-//! `BENCH_simulator.json` baseline to the current directory; `bench-engine`
+//! kernels against the seed gather/scatter path, and a 20-variable
+//! `simulator`-target compile against the gate-by-gate run it replaced,
+//! and writes the tracked `BENCH_simulator.json` baseline to the current
+//! directory; `bench-engine`
 //! (likewise never part of `all`) times cold vs warm batch compilation and
 //! writes `BENCH_engine.json`; `bench-figures` runs the sweep at workers
 //! {1, 2, 4} plus the SABRE and coloring old-vs-new hot-path comparisons

@@ -3,10 +3,15 @@
 //! Times the specialized dispatch in [`State::apply`] and the fused
 //! [`UnitaryBuilder`] against the seed's generic gather/scatter loop
 //! ([`State::apply_reference`]) on the workloads that dominate the
-//! wChecker's unitary-equivalence pass, and renders the result as the
-//! tracked `BENCH_simulator.json` baseline (`figures bench-sim`).
+//! wChecker's unitary-equivalence pass, and the `simulator` target's
+//! formula path against the gate-by-gate run it replaced
+//! ([`gate_by_gate_eps`]). Renders the result as the tracked
+//! `BENCH_simulator.json` baseline (`figures bench-sim`).
 
 use std::time::Instant;
+use weaver_circuit::{native, NativeBasis};
+use weaver_core::Weaver;
+use weaver_sat::{generator, qaoa, Formula};
 use weaver_simulator::{gates, Matrix, State, UnitaryBuilder};
 
 /// Register size for gate-application measurements (the ISSUE's 16-qubit
@@ -16,6 +21,32 @@ pub const APPLY_QUBITS: usize = 16;
 /// Register size for full-unitary construction (the ISSUE's 10-qubit
 /// target).
 pub const BUILD_QUBITS: usize = 10;
+
+/// Variables of the `simulator`-target job (the uf20 fixture size, the
+/// target's register cap).
+pub const SIM_VARS: usize = 20;
+
+/// The `simulator` target's formula path before the clause-score table:
+/// the nativized QAOA circuit simulated gate by gate, then every basis
+/// index scored on its own. Returns the ideal EPS.
+pub fn gate_by_gate_eps(formula: &Formula, params: &qaoa::QaoaParams) -> f64 {
+    let circuit = qaoa::build_circuit(formula, params, false);
+    let native = native::nativize(&circuit, NativeBasis::U3Cz);
+    let vector = native.statevector();
+    let mut max_satisfied = 0u64;
+    let mut optimal_probability = 0.0f64;
+    for (index, amp) in vector.amplitudes().iter().enumerate() {
+        let satisfied = formula.weight_satisfied_by_index(index);
+        if satisfied > max_satisfied {
+            max_satisfied = satisfied;
+            optimal_probability = 0.0;
+        }
+        if satisfied == max_satisfied {
+            optimal_probability += amp.norm_sqr();
+        }
+    }
+    optimal_probability
+}
 
 /// A dense two-qubit unitary with no controlled structure, forcing the
 /// 4-way-butterfly kernel: `(U3 ⊗ U3) · CX · (U3 ⊗ U3)`.
@@ -84,16 +115,22 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Runs the kernel-vs-reference suite with `samples` timed iterations per
-/// measurement at the ISSUE's sizes ([`APPLY_QUBITS`], [`BUILD_QUBITS`]).
+/// measurement at the tracked sizes ([`APPLY_QUBITS`], [`BUILD_QUBITS`],
+/// [`SIM_VARS`]).
 pub fn run(samples: usize) -> Vec<KernelBench> {
-    run_sized(samples, APPLY_QUBITS, BUILD_QUBITS)
+    run_sized(samples, APPLY_QUBITS, BUILD_QUBITS, SIM_VARS)
 }
 
 /// [`run`] at explicit register sizes; the ids keep the canonical `_16q` /
-/// `_10q` suffixes, so only the default sizes produce comparable baselines.
-/// Repeatedly applying a unitary gate to one register keeps every iteration
-/// physical without re-allocating state.
-fn run_sized(samples: usize, apply_qubits: usize, build_qubits: usize) -> Vec<KernelBench> {
+/// `_10q` / `_20q` suffixes, so only the default sizes produce comparable
+/// baselines. Repeatedly applying a unitary gate to one register keeps
+/// every iteration physical without re-allocating state.
+fn run_sized(
+    samples: usize,
+    apply_qubits: usize,
+    build_qubits: usize,
+    sim_vars: usize,
+) -> Vec<KernelBench> {
     let mut out = Vec::new();
     let mut pair = |id: &'static str, gate: &Matrix, targets: &[usize]| {
         let mut fast = plus_state(apply_qubits);
@@ -152,6 +189,21 @@ fn run_sized(samples: usize, apply_qubits: usize, build_qubits: usize) -> Vec<Ke
         kernel_ns,
     });
 
+    let formula = generator::instance(sim_vars, 1);
+    let weaver = Weaver::new();
+    let kernel_ns = median_ns(samples, || {
+        let output = weaver.compile_target("simulator", &formula);
+        std::hint::black_box(output.expect("simulator compiles"));
+    });
+    let reference_ns = median_ns(samples, || {
+        std::hint::black_box(gate_by_gate_eps(&formula, &weaver.options.qaoa));
+    });
+    out.push(KernelBench {
+        id: "simulator_target_20q",
+        reference_ns,
+        kernel_ns,
+    });
+
     out
 }
 
@@ -188,14 +240,28 @@ mod tests {
     fn suite_runs_and_serializes() {
         // One sample at toy sizes keeps this fast; correctness of the
         // numbers is the harness's job, shape is ours.
-        let benches = run_sized(1, 8, 4);
-        assert_eq!(benches.len(), 5);
+        let benches = run_sized(1, 8, 4, 6);
+        assert_eq!(benches.len(), 6);
         assert!(benches
             .iter()
             .all(|b| b.kernel_ns > 0.0 && b.reference_ns > 0.0));
         let json = to_json(&benches, 1);
         assert!(json.contains("\"apply_1q_16q\""));
         assert!(json.contains("\"unitary_build_10q\""));
-        assert_eq!(json.matches("\"speedup\"").count(), 5);
+        assert!(json.contains("\"simulator_target_20q\""));
+        assert_eq!(json.matches("\"speedup\"").count(), 6);
+    }
+
+    #[test]
+    fn gate_by_gate_reference_reports_the_targets_eps() {
+        let formula = generator::weighted_instance(8, 1);
+        let weaver = Weaver::new();
+        let eps = weaver
+            .compile_target("simulator", &formula)
+            .unwrap()
+            .metrics
+            .eps;
+        let reference = gate_by_gate_eps(&formula, &weaver.options.qaoa);
+        assert!((eps - reference).abs() <= 1e-12 * reference);
     }
 }

@@ -144,6 +144,16 @@ fn barenco_cnz(q: &[usize]) -> Vec<Instruction> {
     out
 }
 
+/// Whether `gate` is in the elementary set `{1-qubit, CZ, CX}` (plus `CCZ`
+/// if `keep_ccz` is set) that [`decompose_circuit`] lowers to.
+pub(crate) fn is_elementary(gate: &Gate, keep_ccz: bool) -> bool {
+    match gate {
+        Gate::Cx | Gate::Cz => true,
+        Gate::Ccz => keep_ccz,
+        g => g.num_qubits() == 1,
+    }
+}
+
 /// Applies [`decompose_instruction`] across a circuit until it reaches a
 /// fixpoint over the elementary set `{1-qubit, CZ, CX}` (keeping `CCZ` if
 /// `keep_ccz` is set, as the FPQA backend supports it natively).
@@ -154,12 +164,7 @@ pub fn decompose_circuit(circuit: &Circuit, keep_ccz: bool) -> Circuit {
             crate::Operation::Gate(instr) => {
                 let mut stack = vec![instr.clone()];
                 while let Some(i) = stack.pop() {
-                    let elementary = match i.gate {
-                        Gate::Cx | Gate::Cz => true,
-                        Gate::Ccz if keep_ccz => true,
-                        ref g => g.num_qubits() == 1,
-                    };
-                    if elementary {
+                    if is_elementary(&i.gate, keep_ccz) {
                         out.push(i.gate.clone(), &i.qubits);
                     } else {
                         // push expansion in reverse so it pops in order

@@ -7,8 +7,9 @@
 //! decomposition, so the native circuit is canonical and minimal in 1-qubit
 //! gate count.
 
+use crate::decompose::{decompose_instruction, is_elementary};
 use crate::euler::{decompose_u3, is_identity_u3};
-use crate::{decompose::decompose_circuit, Circuit, Gate, Operation};
+use crate::{Circuit, Gate, Operation};
 use weaver_simulator::Mat2;
 
 /// The target native basis.
@@ -48,37 +49,29 @@ impl NativeBasis {
 ///     .all(|i| matches!(i.gate, weaver_circuit::Gate::U3(..) | weaver_circuit::Gate::Cz)));
 /// ```
 pub fn nativize(circuit: &Circuit, basis: NativeBasis) -> Circuit {
-    // Step 1: decompose to the elementary set {1q, CX, CZ, (CCZ)}.
+    // Decompose to the elementary set {1q, CX, CZ, (CCZ)} on the fly:
+    // elementary gates go straight to the fuser, the rest expand through
+    // one reused work stack, in `decompose_circuit`'s order.
     let keep_ccz = basis == NativeBasis::U3CzCcz;
-    let elementary = decompose_circuit(circuit, keep_ccz);
+    let mut fuser = SingleQubitFuser::new(circuit.num_qubits());
+    let mut out = Circuit::new(circuit.num_qubits());
+    let mut stack = Vec::new();
 
-    // Step 2: replace CX with H-conjugated CZ so only CZ/CCZ remain as
-    // entanglers, then fuse single-qubit runs.
-    let mut fuser = SingleQubitFuser::new(elementary.num_qubits());
-    let mut out = Circuit::new(elementary.num_qubits());
-
-    for op in elementary.operations() {
+    for op in circuit.operations() {
         match op {
-            Operation::Gate(instr) => match instr.gate {
-                Gate::Cx => {
-                    let (c, t) = (instr.qubits[0], instr.qubits[1]);
-                    fuser.absorb(t, Mat2::h());
-                    fuser.flush(c, &mut out);
-                    fuser.flush(t, &mut out);
-                    out.push(Gate::Cz, &[c, t]);
-                    fuser.absorb(t, Mat2::h());
-                }
-                Gate::Cz | Gate::Ccz => {
-                    for &q in &instr.qubits {
-                        fuser.flush(q, &mut out);
+            Operation::Gate(instr) if is_elementary(&instr.gate, keep_ccz) => {
+                fuser.lower(&instr.gate, &instr.qubits, &mut out);
+            }
+            Operation::Gate(instr) => {
+                stack.extend(decompose_instruction(instr).into_iter().rev());
+                while let Some(i) = stack.pop() {
+                    if is_elementary(&i.gate, keep_ccz) {
+                        fuser.lower(&i.gate, &i.qubits, &mut out);
+                    } else {
+                        stack.extend(decompose_instruction(&i).into_iter().rev());
                     }
-                    out.push(instr.gate.clone(), &instr.qubits);
                 }
-                ref g => match g.mat2() {
-                    Some(m) => fuser.absorb(instr.qubits[0], m),
-                    None => unreachable!("non-elementary gate {g} after decomposition"),
-                },
-            },
+            }
             Operation::Measure(q) => {
                 fuser.flush(*q, &mut out);
                 out.measure(*q);
@@ -109,6 +102,32 @@ impl SingleQubitFuser {
     fn new(num_qubits: usize) -> Self {
         SingleQubitFuser {
             pending: vec![None; num_qubits],
+        }
+    }
+
+    /// Lowers one elementary gate: CX becomes H-conjugated CZ so only
+    /// CZ/CCZ remain as entanglers, and 1-qubit gates join their wire's
+    /// pending run.
+    fn lower(&mut self, gate: &Gate, qubits: &[usize], out: &mut Circuit) {
+        match gate {
+            Gate::Cx => {
+                let (c, t) = (qubits[0], qubits[1]);
+                self.absorb(t, Mat2::h());
+                self.flush(c, out);
+                self.flush(t, out);
+                out.push(Gate::Cz, &[c, t]);
+                self.absorb(t, Mat2::h());
+            }
+            Gate::Cz | Gate::Ccz => {
+                for &q in qubits {
+                    self.flush(q, out);
+                }
+                out.push(gate.clone(), qubits);
+            }
+            g => match g.mat2() {
+                Some(m) => self.absorb(qubits[0], m),
+                None => unreachable!("non-elementary gate {g} after decomposition"),
+            },
         }
     }
 

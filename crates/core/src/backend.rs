@@ -99,6 +99,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use weaver_circuit::{native, Circuit, NativeBasis};
 use weaver_sat::{qaoa, Formula};
+use weaver_simulator::{gates, Complex, State};
 use weaver_superconducting::{
     device, transpile, CouplingMap, DeviceSpec, RouteError, TranspileResult,
 };
@@ -829,8 +830,12 @@ impl Backend for SuperconductingBackend {
 // ---------------------------------------------------------------------------
 
 /// The ideal-execution target: lowers the QAOA circuit to the shared native
-/// basis and runs it on the state-vector simulator, reporting the noiseless
-/// probability of measuring a Max-3SAT-optimal assignment as EPS.
+/// basis (the artifact) and computes its output state on the state-vector
+/// simulator, reporting the noiseless probability of measuring a
+/// Max-3SAT-optimal assignment as EPS. Formula workloads run the QAOA
+/// layers from one clause-score table
+/// ([`Formula::satisfied_weight_table`]); circuit workloads run gate by
+/// gate.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimulatorBackend;
 
@@ -860,31 +865,40 @@ impl SimulatorBackend {
                 steps
             })
             .pass("statevector", |state, ctx| {
-                let native = state.native.as_ref().expect("nativize ran");
-                state.state = Some(native.statevector());
-                // One butterfly sweep over the full vector per gate.
-                (native.gate_count() as u64) << ctx.formula.num_vars()
+                // The QAOA state from the circuit's two layers rather than
+                // its gates: the cost evolution is the diagonal
+                // e^{-iγ·s(x)} over the clause-score table (the phase
+                // polynomial is the satisfied weight, up to a global
+                // phase), the mixer is n RX(2β) butterflies. The nativized
+                // circuit is the same unitary up to a global phase.
+                let n = ctx.formula.num_vars();
+                let scores = ctx.formula.satisfied_weight_table();
+                let plus = Complex::real((scores.len() as f64).sqrt().recip());
+                let mut vector = State::from_amplitudes(vec![plus; scores.len()]);
+                let layers = &ctx.weaver.options.qaoa.layers;
+                for &(gamma, beta) in layers {
+                    vector.apply_score_phases(gamma, &scores);
+                    let mixer = gates::rx(2.0 * beta);
+                    for q in 0..n {
+                        vector.apply(&mixer, &[q]);
+                    }
+                }
+                state.state = Some(vector);
+                state.scores = Some(scores);
+                // Amplitude passes: the score table, |+⟩ⁿ, then per layer
+                // the diagonal and n butterflies.
+                (2 + layers.len() as u64 * (n as u64 + 1)) << n
             })
             .pass("ideal-eps", |state, ctx| {
                 let vector = state.state.take().expect("statevector ran");
-                let formula = ctx.formula;
-                // Weighted formulas score basis states by effective weight;
-                // unweighted ones keep the satisfied-clause count (same
-                // scan, same floating-point accumulation order → identical
-                // EPS bytes for every pre-weights workload).
-                let weighted = formula.is_weighted();
-                let score = |index: usize| -> u64 {
-                    if weighted {
-                        formula.weight_satisfied_by_index(index)
-                    } else {
-                        formula.count_satisfied_by_index(index) as u64
-                    }
-                };
+                let scores = state.scores.take().expect("statevector ran");
+                // Scores are effective weights, which for unweighted
+                // formulas are the satisfied-clause counts; the scan and
+                // accumulation run in index order.
                 let mut max_satisfied = 0u64;
                 let mut num_optimal = 0usize;
                 let mut optimal_probability = 0.0f64;
-                for (index, amp) in vector.amplitudes().iter().enumerate() {
-                    let satisfied = score(index);
+                for (amp, &satisfied) in vector.amplitudes().iter().zip(&scores) {
                     if satisfied > max_satisfied {
                         max_satisfied = satisfied;
                         num_optimal = 0;
@@ -896,7 +910,8 @@ impl SimulatorBackend {
                     }
                 }
                 state.outcome = Some((optimal_probability, max_satisfied, num_optimal));
-                (formula.num_clauses() as u64) << formula.num_vars()
+                // One readout pass over the amplitudes and their scores.
+                1u64 << ctx.formula.num_vars()
             })
     }
 }
@@ -904,7 +919,9 @@ impl SimulatorBackend {
 struct SimLowering {
     circuit: Option<Circuit>,
     native: Option<Circuit>,
-    state: Option<weaver_simulator::State>,
+    state: Option<State>,
+    /// The clause-score table, shared by `statevector` and `ideal-eps`.
+    scores: Option<Vec<u64>>,
     outcome: Option<(f64, u64, usize)>,
 }
 
@@ -944,6 +961,7 @@ impl Backend for SimulatorBackend {
             circuit: None,
             native: None,
             state: None,
+            scores: None,
             outcome: None,
         };
         let passes = SimulatorBackend::manager().run(&mut state, &ctx);

@@ -18,8 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Compiler version folded into every artifact key, so a new release never
-/// serves artifacts produced by an old one.
-pub const COMPILER_VERSION: &str = env!("CARGO_PKG_VERSION");
+/// serves artifacts produced by an old one. The `+r` revision moves when a
+/// change within one crate version alters artifact bytes or metrics
+/// (`r1`: simulator EPS from the clause-score table, which moves its last
+/// bits).
+pub const COMPILER_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+r1");
 
 // ---------------------------------------------------------------------------
 // BLAKE2s-256

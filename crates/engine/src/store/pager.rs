@@ -9,7 +9,7 @@
 //! losing pool-only state.
 
 use super::fault::{FaultFile, FaultState};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -81,6 +81,10 @@ impl PageFile {
 #[derive(Debug)]
 pub struct BufferPool {
     pages: HashMap<u64, PoolEntry>,
+    /// Page id by LRU stamp, oldest first. Every pool operation takes a
+    /// fresh stamp from `clock`, so stamps are unique and the first entry
+    /// is always the eviction victim.
+    by_stamp: BTreeMap<u64, u64>,
     capacity: usize,
     clock: u64,
     evictions: u64,
@@ -97,6 +101,7 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         BufferPool {
             pages: HashMap::new(),
+            by_stamp: BTreeMap::new(),
             capacity: capacity.max(1),
             clock: 0,
             evictions: 0,
@@ -107,10 +112,11 @@ impl BufferPool {
     pub fn get(&mut self, pid: u64) -> Option<Arc<Vec<u8>>> {
         self.clock += 1;
         let clock = self.clock;
-        self.pages.get_mut(&pid).map(|e| {
-            e.stamp = clock;
-            e.image.clone()
-        })
+        let entry = self.pages.get_mut(&pid)?;
+        self.by_stamp.remove(&entry.stamp);
+        self.by_stamp.insert(clock, pid);
+        entry.stamp = clock;
+        Some(entry.image.clone())
     }
 
     /// Inserts (or replaces) a page image, evicting the least recently
@@ -118,14 +124,12 @@ impl BufferPool {
     pub fn insert(&mut self, pid: u64, image: Arc<Vec<u8>>) {
         self.clock += 1;
         let stamp = self.clock;
-        self.pages.insert(pid, PoolEntry { image, stamp });
+        if let Some(old) = self.pages.insert(pid, PoolEntry { image, stamp }) {
+            self.by_stamp.remove(&old.stamp);
+        }
+        self.by_stamp.insert(stamp, pid);
         while self.pages.len() > self.capacity {
-            let oldest = self
-                .pages
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(pid, _)| *pid)
-                .expect("nonempty pool");
+            let (_, oldest) = self.by_stamp.pop_first().expect("nonempty pool");
             self.pages.remove(&oldest);
             self.evictions += 1;
         }
@@ -133,12 +137,15 @@ impl BufferPool {
 
     /// Drops a page (freed or rewritten on disk).
     pub fn remove(&mut self, pid: u64) {
-        self.pages.remove(&pid);
+        if let Some(entry) = self.pages.remove(&pid) {
+            self.by_stamp.remove(&entry.stamp);
+        }
     }
 
     /// Drops everything (compaction renumbers pages).
     pub fn clear(&mut self) {
         self.pages.clear();
+        self.by_stamp.clear();
     }
 
     /// Cumulative LRU evictions.
@@ -162,6 +169,90 @@ mod tests {
         assert!(pool.get(2).is_none());
         assert!(pool.get(3).is_some());
         assert_eq!(pool.evictions(), 1);
+    }
+
+    /// The pool as it evicted before the stamp index: a scan of every
+    /// entry for the smallest stamp.
+    struct ScanPool {
+        pages: HashMap<u64, (Arc<Vec<u8>>, u64)>,
+        capacity: usize,
+        clock: u64,
+        evictions: u64,
+    }
+
+    impl ScanPool {
+        fn get(&mut self, pid: u64) -> Option<Arc<Vec<u8>>> {
+            self.clock += 1;
+            let clock = self.clock;
+            self.pages.get_mut(&pid).map(|e| {
+                e.1 = clock;
+                e.0.clone()
+            })
+        }
+
+        fn insert(&mut self, pid: u64, image: Arc<Vec<u8>>) {
+            self.clock += 1;
+            self.pages.insert(pid, (image, self.clock));
+            while self.pages.len() > self.capacity {
+                let oldest = self
+                    .pages
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(pid, _)| *pid)
+                    .expect("nonempty pool");
+                self.pages.remove(&oldest);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn stamp_index_evicts_as_the_full_scan_did() {
+        let mut rng = 0x5EED_1234_ABCD_0001u64;
+        let mut next = move |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for capacity in [1usize, 2, 3, 8, 17] {
+            let mut pool = BufferPool::new(capacity);
+            let mut scan = ScanPool {
+                pages: HashMap::new(),
+                capacity,
+                clock: 0,
+                evictions: 0,
+            };
+            for step in 0..4000u64 {
+                let pid = next(3 * capacity as u64 + 2);
+                match next(100) {
+                    0..=39 => {
+                        let got = pool.get(pid);
+                        assert_eq!(got, scan.get(pid), "get {pid} at step {step}");
+                    }
+                    40..=89 => {
+                        let image = Arc::new(step.to_le_bytes().to_vec());
+                        pool.insert(pid, image.clone());
+                        scan.insert(pid, image);
+                    }
+                    90..=98 => {
+                        pool.remove(pid);
+                        scan.pages.remove(&pid);
+                    }
+                    _ => {
+                        pool.clear();
+                        scan.pages.clear();
+                    }
+                }
+                assert_eq!(pool.evictions(), scan.evictions, "step {step}");
+                let mut held: Vec<u64> = pool.pages.keys().copied().collect();
+                let mut expected: Vec<u64> = scan.pages.keys().copied().collect();
+                held.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(held, expected, "pooled pages at step {step}");
+                assert_eq!(pool.by_stamp.len(), pool.pages.len());
+            }
+        }
     }
 
     #[test]

@@ -336,6 +336,128 @@ impl Formula {
         self.satisfied_weight(&assignment)
     }
 
+    /// The clause-score table: entry `i` is
+    /// [`Formula::weight_satisfied_by_index`]`(i)` for every basis index
+    /// `0..2^n` (the satisfied-clause count for unweighted formulas).
+    ///
+    /// Bit-parallel: 64 consecutive indices form one word. Variable `q` is
+    /// index bit `n − 1 − q`, so the low six bits vary across a word's lanes
+    /// as fixed patterns and the others are constant within it. A clause is
+    /// then one lane mask per word, and its weight is added to the lanes it
+    /// satisfies in a bit-sliced counter; a clause a constant literal
+    /// satisfies adds to all lanes at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2^n` indices cannot be addressed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use weaver_sat::generator;
+    /// let f = generator::weighted_instance(8, 1);
+    /// let table = f.satisfied_weight_table();
+    /// assert_eq!(table.len(), 256);
+    /// assert!((0..256).all(|i| table[i] == f.weight_satisfied_by_index(i)));
+    /// ```
+    pub fn satisfied_weight_table(&self) -> Vec<u64> {
+        /// Lanes of a 64-index word whose index bit `b` is set, for `b < 6`.
+        const LANE_BITS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        /// A clause split at the word boundary: it holds on every lane when
+        /// `word_base & high_bits != high_false` (a literal over the high
+        /// index bits is true), else on the lanes of `low`.
+        struct WordClause {
+            weight: u64,
+            high_bits: usize,
+            high_false: usize,
+            low: u64,
+        }
+        let n = self.num_vars;
+        assert!(n < usize::BITS as usize, "2^{n} basis indices");
+        let hard = self.hard_clause_weight();
+        let clauses: Vec<WordClause> = self
+            .clauses
+            .iter()
+            .map(|clause| {
+                let mut c = WordClause {
+                    weight: if clause.is_hard() {
+                        hard
+                    } else {
+                        clause.weight()
+                    },
+                    high_bits: 0,
+                    high_false: 0,
+                    low: 0,
+                };
+                for lit in clause.lits() {
+                    let bit = n - 1 - lit.var;
+                    if bit < LANE_BITS.len() {
+                        c.low |= if lit.negated {
+                            !LANE_BITS[bit]
+                        } else {
+                            LANE_BITS[bit]
+                        };
+                    } else {
+                        c.high_bits |= 1 << bit;
+                        if lit.negated {
+                            c.high_false |= 1 << bit;
+                        }
+                    }
+                }
+                c
+            })
+            .collect();
+        let mut table = vec![0u64; 1 << n];
+        // Bit-sliced per-lane sums: bit `lane` of `slices[level]` is bit
+        // `level` of that lane's sum. Sums never exceed the total weight.
+        let mut slices = [0u64; 64];
+        for (word, lanes) in table.chunks_mut(64).enumerate() {
+            let base = word * 64;
+            let mut uniform = 0u64;
+            let mut levels = 0;
+            for c in &clauses {
+                let mask = if base & c.high_bits != c.high_false {
+                    !0
+                } else {
+                    c.low
+                };
+                if mask == !0 {
+                    uniform += c.weight;
+                    continue;
+                }
+                // Ripple-carry each set bit of the weight into the lanes.
+                let mut rest = if mask == 0 { 0 } else { c.weight };
+                while rest != 0 {
+                    let mut level = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let mut carry = mask;
+                    while carry != 0 {
+                        let next = slices[level] & carry;
+                        slices[level] ^= carry;
+                        carry = next;
+                        level += 1;
+                    }
+                    levels = levels.max(level);
+                }
+            }
+            lanes.fill(uniform);
+            for (level, &slice) in slices[..levels].iter().enumerate() {
+                for (lane, sum) in lanes.iter_mut().enumerate() {
+                    *sum += ((slice >> lane) & 1) << level;
+                }
+            }
+            slices[..levels].fill(0);
+        }
+        table
+    }
+
     /// Encodes a max-cut instance as weighted MAX-SAT: an edge `(u, v)` is
     /// cut iff `u ≠ v`, i.e. both `(u ∨ v)` and `(¬u ∨ ¬v)` hold. A cut
     /// edge satisfies both clauses, an uncut edge exactly one — maximizing
@@ -550,5 +672,29 @@ mod tests {
     #[should_panic(expected = "self-loop")]
     fn max_cut_rejects_self_loops() {
         Formula::max_cut(2, &[(1, 1, 1)]);
+    }
+
+    #[test]
+    fn score_table_matches_per_index_scoring() {
+        let hard_mix = Formula::new(
+            2,
+            vec![
+                Clause::weighted(vec![Lit::pos(0)], 3),
+                Clause::weighted(vec![Lit::pos(1)], 5),
+                Clause::hard(vec![Lit::neg(0), Lit::neg(1)]),
+            ],
+        );
+        let mut formulas = vec![Formula::new(0, vec![]), hard_mix, paper_example()];
+        for n in [3, 5, 6, 7, 9] {
+            formulas.push(crate::generator::instance(n, 1));
+            formulas.push(crate::generator::weighted_instance(n, 2));
+        }
+        for f in &formulas {
+            let table = f.satisfied_weight_table();
+            assert_eq!(table.len(), 1 << f.num_vars());
+            for (i, &score) in table.iter().enumerate() {
+                assert_eq!(score, f.weight_satisfied_by_index(i), "{f} at {i}");
+            }
+        }
     }
 }

@@ -123,6 +123,45 @@ impl State {
         kernels::apply_gate(&mut self.amplitudes, gate, &bits);
     }
 
+    /// Multiplies amplitude `x` by `e^{−iθ·s(x)}`, reading `s(x)` from
+    /// `scores[x]`: a diagonal over the whole register in one pass, such as
+    /// a QAOA cost layer `e^{−iγC}` from its clause-score table. Each
+    /// distinct score's phase is computed once, and no `2ⁿ`-entry phase
+    /// table is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scores` does not hold one entry per amplitude.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use weaver_simulator::{Complex, State};
+    /// let mut psi = State::from_amplitudes(vec![Complex::ONE; 2]);
+    /// psi.apply_score_phases(std::f64::consts::FRAC_PI_2, &[0, 1]);
+    /// assert_eq!(psi.amplitudes()[0], Complex::ONE);
+    /// assert!(psi.amplitudes()[1].approx_eq(-Complex::I, 1e-15));
+    /// ```
+    pub fn apply_score_phases(&mut self, theta: f64, scores: &[u64]) {
+        /// Scores below this index a lookup table directly; larger ones
+        /// (weights far above any clause count) go through a map.
+        const DENSE_SCORES: u64 = 1 << 16;
+        assert_eq!(scores.len(), self.dim(), "one score per amplitude");
+        let phase = |s: u64| Complex::from_polar(-theta * s as f64);
+        let max = scores.iter().copied().max().unwrap_or(0);
+        if max < DENSE_SCORES {
+            let mut phases: Vec<Option<Complex>> = vec![None; max as usize + 1];
+            for (a, &s) in self.amplitudes.iter_mut().zip(scores) {
+                *a *= *phases[s as usize].get_or_insert_with(|| phase(s));
+            }
+        } else {
+            let mut phases = std::collections::HashMap::new();
+            for (a, &s) in self.amplitudes.iter_mut().zip(scores) {
+                *a *= *phases.entry(s).or_insert_with(|| phase(s));
+            }
+        }
+    }
+
     /// Applies a gate via the seed's generic gather/scatter loop, bypassing
     /// the specialized kernels.
     ///
@@ -354,6 +393,30 @@ mod tests {
         slow.apply_reference(&gates::swap(), &[3, 12]);
         assert_states_close(&fast, &slow, 1e-12);
         assert!((fast.norm_sqr() - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn score_phases_match_per_amplitude_polar_products() {
+        let n = 7;
+        let mut start = State::zero(n);
+        for q in 0..n {
+            start.apply(&gates::u3(0.3 + q as f64, 0.2, -0.1), &[q]);
+        }
+        let theta = 0.7;
+        // Small scores index the dense table; 2^40-scale ones the map.
+        for scale in [1u64, 1 << 40] {
+            let scores: Vec<u64> = (0..1u64 << n).map(|i| (i * 37 % 11) * scale).collect();
+            let mut fused = start.clone();
+            fused.apply_score_phases(theta, &scores);
+            for ((a, b), &s) in fused
+                .amplitudes()
+                .iter()
+                .zip(start.amplitudes())
+                .zip(&scores)
+            {
+                assert_eq!(*a, *b * Complex::from_polar(-theta * s as f64));
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@ use weaver_circuit::{Circuit, Operation};
 
 /// Pretty-prints a program as wQasm source.
 ///
-/// Every token is written straight into one pre-sized `String`.
+/// Every token is written straight into one pre-sized `String`, and each
+/// distinct float is formatted once per call.
 ///
 /// # Examples
 ///
@@ -25,7 +26,7 @@ use weaver_circuit::{Circuit, Operation};
 /// assert_eq!(parse(&text).unwrap(), p);
 /// ```
 pub fn print(program: &Program) -> String {
-    let mut out = String::with_capacity(estimated_len(program));
+    let mut out = Out::with_capacity(estimated_len(program));
     if let Some(v) = &program.version {
         // Keep a conventional two-part version number.
         out.push_str("OPENQASM ");
@@ -43,7 +44,7 @@ pub fn print(program: &Program) -> String {
     for stmt in &program.statements {
         print_statement(stmt, &mut out);
     }
-    out
+    out.text
 }
 
 /// Prints a circuit as plain OpenQASM over register `q` (and `c` when it
@@ -69,7 +70,7 @@ pub fn print_circuit(circuit: &Circuit) -> String {
             Operation::Barrier(qs) => 10 + QUBIT * qs.len(),
         })
         .sum();
-    let mut out = String::with_capacity(64 + estimate);
+    let mut out = Out::with_capacity(64 + estimate);
     out.push_str("OPENQASM ");
     out.push_str(Program::DEFAULT_VERSION);
     out.push_str(";\n");
@@ -109,7 +110,43 @@ pub fn print_circuit(circuit: &Circuit) -> String {
             }
         }
     }
-    out
+    out.text
+}
+
+/// The text being printed plus a per-call cache of formatted floats, so a
+/// value that repeats (a routed artifact's ~160k angles take a few dozen
+/// distinct values) is formatted once. The cache is direct-mapped and keyed
+/// by `f64::to_bits`, so `0.0` and `-0.0` (and NaN payloads) stay apart.
+struct Out {
+    text: String,
+    /// `(bits, text)` per slot; an empty text marks a vacant slot.
+    floats: Vec<(u64, String)>,
+}
+
+impl Out {
+    /// The cache holds `2^SLOT_BITS` floats.
+    const SLOT_BITS: u32 = 8;
+
+    fn with_capacity(capacity: usize) -> Self {
+        Out {
+            text: String::with_capacity(capacity),
+            floats: vec![(0, String::new()); 1 << Self::SLOT_BITS],
+        }
+    }
+}
+
+impl std::ops::Deref for Out {
+    type Target = String;
+
+    fn deref(&self) -> &String {
+        &self.text
+    }
+}
+
+impl std::ops::DerefMut for Out {
+    fn deref_mut(&mut self) -> &mut String {
+        &mut self.text
+    }
 }
 
 /// About the printed length of a float with its separator (shortest
@@ -153,7 +190,7 @@ fn estimated_len(program: &Program) -> usize {
     32 + statements
 }
 
-fn print_statement(stmt: &Statement, out: &mut String) {
+fn print_statement(stmt: &Statement, out: &mut Out) {
     match stmt {
         Statement::QregDecl { name, size } => print_decl("qreg ", name, *size, out),
         Statement::CregDecl { name, size } => print_decl("creg ", name, *size, out),
@@ -210,7 +247,7 @@ fn print_decl(keyword: &str, name: &str, size: usize, out: &mut String) {
     out.push_str("];\n");
 }
 
-fn print_annotation(a: &Annotation, out: &mut String) {
+fn print_annotation(a: &Annotation, out: &mut Out) {
     match a {
         Annotation::Slm { positions } => {
             out.push_str("@slm [");
@@ -296,7 +333,7 @@ fn print_annotation(a: &Annotation, out: &mut String) {
 }
 
 /// ` x y z` and the line end of a Raman pulse.
-fn push_xyz(x: f64, y: f64, z: f64, out: &mut String) {
+fn push_xyz(x: f64, y: f64, z: f64, out: &mut Out) {
     for v in [x, y, z] {
         out.push(' ');
         push_f64(v, out);
@@ -304,7 +341,7 @@ fn push_xyz(x: f64, y: f64, z: f64, out: &mut String) {
     out.push('\n');
 }
 
-fn push_f64_list(xs: &[f64], out: &mut String) {
+fn push_f64_list(xs: &[f64], out: &mut Out) {
     for (i, x) in xs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -361,10 +398,27 @@ fn push_usize(mut n: usize, out: &mut String) {
     }
 }
 
+/// Writes `v` as [`format_f64`] does, through the per-call cache.
+fn push_f64(v: f64, out: &mut Out) {
+    let bits = v.to_bits();
+    // Fibonacci hashing: the top bits of the product pick the slot.
+    let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - Out::SLOT_BITS)) as usize;
+    let (cached_bits, cached) = &mut out.floats[slot];
+    if *cached_bits == bits && !cached.is_empty() {
+        out.text.push_str(cached);
+        return;
+    }
+    let start = out.text.len();
+    format_f64(v, &mut out.text);
+    cached.clear();
+    cached.push_str(&out.text[start..]);
+    *cached_bits = bits;
+}
+
 /// Formats a float so the lexer round-trips it exactly: uses Rust's shortest
 /// representation, which `f64::parse` recovers losslessly; integral values
 /// below 1e15 keep one decimal (`3.0`).
-fn push_f64(v: f64, out: &mut String) {
+fn format_f64(v: f64, out: &mut String) {
     let _ = if v == v.trunc() && v.abs() < 1e15 {
         write!(out, "{v:.1}")
     } else {
@@ -444,11 +498,41 @@ mod tests {
     fn integers_print_with_decimal() {
         let f = |v: f64| {
             let mut s = String::new();
-            push_f64(v, &mut s);
+            format_f64(v, &mut s);
             s
         };
         assert_eq!(f(3.0), "3.0");
         assert_eq!(f(0.5), "0.5");
+    }
+
+    #[test]
+    fn cached_floats_print_as_formatted() {
+        // Repeats, signed zeros, NaN payloads, long and short texts, and
+        // more distinct values than slots, so slots are overwritten.
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() | 1),
+            f64::INFINITY,
+            1e300,
+            1e-300,
+            3.0,
+            -2.5e-3,
+            1e16,
+        ];
+        values.extend((0..2000).map(|i| (i % 700) as f64 * 0.1 - 17.0));
+        values.extend(values.clone().iter().rev());
+        let mut out = Out::with_capacity(0);
+        let mut expected = String::new();
+        for &v in &values {
+            push_f64(v, &mut out);
+            out.push(' ');
+            format_f64(v, &mut expected);
+            expected.push(' ');
+        }
+        assert_eq!(out.text, expected);
     }
 
     #[test]

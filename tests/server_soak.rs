@@ -26,9 +26,8 @@ fn tdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The 8-fixture suite: mixed frontends (DIMACS CNF, weighted WCNF,
-/// max-cut) and mixed targets. The simulator target is deliberately not
-/// here — its state-vector sweep is minutes, not milliseconds.
+/// The 11-fixture suite: mixed frontends (DIMACS CNF, weighted WCNF,
+/// max-cut) and every target family, the 20-qubit simulator included.
 const SUITE: &[(&str, &str, &str)] = &[
     ("tests/fixtures/uf20-01.cnf", "dimacs", "fpqa"),
     ("tests/fixtures/uf20-02.cnf", "dimacs", "fpqa"),
@@ -38,6 +37,9 @@ const SUITE: &[(&str, &str, &str)] = &[
     ("tests/fixtures/sample.wcnf", "dimacs", "fpqa"),
     ("tests/fixtures/triangle.mc", "maxcut", "fpqa"),
     ("tests/fixtures/triangle.mc", "maxcut", "superconducting"),
+    ("tests/fixtures/uf20-06.cnf", "dimacs", "simulator"),
+    ("tests/fixtures/sample.wcnf", "dimacs", "simulator"),
+    ("tests/fixtures/triangle.mc", "maxcut", "simulator"),
 ];
 
 fn compile_request(id: u64, path: &str, frontend: &str, target: &str, emit: bool) -> String {
@@ -162,8 +164,8 @@ fn concurrent_clients_match_single_shot_compiles() {
         }
     }
 
-    // The admin surface shows the warm cache: 32 compile requests over 8
-    // distinct keys means hits are guaranteed, and store introspection is
+    // The admin surface shows the warm cache: 4 submissions of every
+    // distinct key means hits are guaranteed, and store introspection is
     // wired through.
     let stats = roundtrip(&addr, &[JsonObject::new().str("verb", "stats").finish()]);
     let cache = stats[0].get("cache").expect("stats carries cache tiers");
@@ -175,7 +177,7 @@ fn concurrent_clients_match_single_shot_compiles() {
     assert!(hits >= 1, "repeat submissions must hit the warm cache");
     let store = stats[0].get("store").expect("stats carries store stats");
     assert!(
-        store.get("artifacts").and_then(JsonValue::as_u64).unwrap() >= 8,
+        store.get("artifacts").and_then(JsonValue::as_u64).unwrap() >= SUITE.len() as u64,
         "all distinct artifacts must land in the paged store"
     );
     assert!(
