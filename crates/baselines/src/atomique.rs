@@ -10,10 +10,11 @@
 //!
 //! `steps` counts the modelled work behind Table 2 and fig10a: one step
 //! per window gate for every scored cell, as if each cell were scored by
-//! visiting the whole window. The implementation does less: it buckets
-//! each qubit's window partners once per refinement (and the moving
-//! qubit's once per gate) and scores a cell over those partners only, in
-//! window order, so every cost sums the same terms in the same order.
+//! visiting the whole window. The implementation does less: each qubit's
+//! two-qubit gates sit in one ascending list, so its partners in the
+//! window are a contiguous run that a monotone cursor finds, and a cell is
+//! scored over those partners only, in window order, so every cost sums
+//! the same terms in the same order.
 
 use crate::common::{BaselineOutput, FpqaCompiler, Timeout};
 use std::time::Instant;
@@ -55,7 +56,7 @@ impl FpqaCompiler for Atomique {
         let nativized = native::nativize(&circuit, NativeBasis::U3Cz);
 
         // Square grid of cells with spare rows/columns so atoms can always
-        // park next to a partner; qubit i starts at cell i.
+        // park next to a partner; qubit i starts at (and returns to) cell i.
         let width = (n as f64).sqrt().ceil() as usize + 1;
         let height = n.div_ceil(width) + 1;
         let cells = width * height;
@@ -63,37 +64,29 @@ impl FpqaCompiler for Atomique {
         let mut cell_of: Vec<Option<usize>> = (0..cells)
             .map(|c| if c < n { Some(c) } else { None })
             .collect();
-        let home_cell: Vec<Option<usize>> = (0..n).map(Some).collect();
 
-        let cell_xy = |c: usize| ((c % width) as f64, (c / width) as f64);
+        let cell_x: Vec<f64> = (0..cells).map(|c| (c % width) as f64).collect();
+        let cell_y: Vec<f64> = (0..cells).map(|c| (c / width) as f64).collect();
         let dist = |a: usize, b: usize| {
-            let (ax, ay) = cell_xy(a);
-            let (bx, by) = cell_xy(b);
-            ((ax - bx).abs() + (ay - by).abs()) * self.spacing
+            ((cell_x[a] - cell_x[b]).abs() + (cell_y[a] - cell_y[b]).abs()) * self.spacing
         };
 
-        // Gate stream: (is_two_qubit, qubits).
-        let gates: Vec<(bool, Vec<usize>)> = nativized
+        let pairs: Vec<(usize, usize)> = nativized
             .instructions()
-            .map(|i| (i.gate.num_qubits() == 2, i.qubits.clone()))
+            .filter(|i| i.gate.num_qubits() == 2)
+            .map(|i| (i.qubits[0], i.qubits[1]))
             .collect();
-        let two_qubit_positions: Vec<usize> = gates
-            .iter()
-            .enumerate()
-            .filter(|(_, (is2, _))| *is2)
-            .map(|(i, _)| i)
-            .collect();
+        let total_2q = pairs.len();
+        let mut lists = GateLists::new(n, &pairs);
 
         let mut schedule = PulseSchedule::new();
         let mut steps: u64 = 0;
         let window = (4 * n).max(8);
         let mut processed_2q = 0usize;
-        // Each qubit's partners in the look-ahead window, in window order.
-        let mut partners: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut a_partners: Vec<usize> = Vec::new();
 
-        for (is2, qubits) in &gates {
-            if !is2 {
+        for instruction in nativized.instructions() {
+            let qubits = &instruction.qubits;
+            if instruction.gate.num_qubits() != 2 {
                 schedule.push(PulseOp::RamanLocal {
                     qubit: qubits[0],
                     angles: (0.0, 0.0, 0.0),
@@ -103,8 +96,7 @@ impl FpqaCompiler for Atomique {
             let (a, b) = (qubits[0], qubits[1]);
             processed_2q += 1;
             // The look-ahead window: the next `window` two-qubit gates.
-            let ahead = &two_qubit_positions[processed_2q..];
-            let ahead = &ahead[..ahead.len().min(window)];
+            let ahead = processed_2q..total_2q.min(processed_2q + window);
             // Every scored cell is charged one step per window gate.
             let visits = ahead.len() as u64;
 
@@ -112,15 +104,8 @@ impl FpqaCompiler for Atomique {
             // re-place each qubit into the free cell minimizing distance to
             // its partners in the look-ahead window.
             if processed_2q % (n / 2).max(1) == 0 {
-                partners.iter_mut().for_each(Vec::clear);
-                for &future in ahead {
-                    let fq = &gates[future].1;
-                    partners[fq[0]].push(fq[1]);
-                    if fq[1] != fq[0] {
-                        partners[fq[1]].push(fq[0]);
-                    }
-                }
                 for q in 0..n {
+                    let partners = lists.partners(q, &ahead);
                     let mut best_cell = pos[q];
                     let mut best_cost = f64::MAX;
                     for (c, occupant) in cell_of.iter().enumerate() {
@@ -129,7 +114,7 @@ impl FpqaCompiler for Atomique {
                         }
                         steps += visits;
                         let mut cost = dist(pos[q], c) * 0.1;
-                        for &other in &partners[q] {
+                        for &other in partners {
                             cost += dist(c, pos[other]);
                         }
                         if cost < best_cost {
@@ -152,12 +137,7 @@ impl FpqaCompiler for Atomique {
             // Bring a next to b if they are not neighbours: move a to the
             // free cell adjacent to b with the lowest cost over the window.
             if dist(pos[a], pos[b]) > self.spacing + 1e-9 {
-                a_partners.clear();
-                a_partners.extend(ahead.iter().filter_map(|&future| {
-                    let fq = &gates[future].1;
-                    fq.contains(&a)
-                        .then(|| if fq[0] == a { fq[1] } else { fq[0] })
-                }));
+                let a_partners = lists.partners(a, &ahead);
                 let (bx, by) = ((pos[b] % width) as i64, (pos[b] / width) as i64);
                 let mut best: Option<(usize, f64)> = None;
                 for (dx, dy) in [(-1i64, 0i64), (1, 0), (0, -1), (0, 1)] {
@@ -171,7 +151,7 @@ impl FpqaCompiler for Atomique {
                     }
                     steps += visits;
                     let mut cost = dist(pos[a], c);
-                    for &other in &a_partners {
+                    for &other in a_partners {
                         cost += 0.2 * dist(c, pos[other]);
                     }
                     if best.is_none() || cost < best.unwrap().1 {
@@ -204,19 +184,18 @@ impl FpqaCompiler for Atomique {
                 groups: vec![vec![a, b]],
             });
             // The visiting atom cannot stay parked next to its partner
-            // through later global pulses: it returns to a home cell
+            // through later global pulses: it returns to its home cell
             // (Atomique's arrays move back and forth between interaction
             // and storage configurations each stage).
-            if let Some(home) = home_cell[a] {
-                if home != pos[a] && cell_of[home].is_none() {
-                    let d = dist(pos[a], home);
-                    cell_of[pos[a]] = None;
-                    cell_of[home] = Some(a);
-                    pos[a] = home;
-                    schedule.push(PulseOp::Transfer);
-                    schedule.push(PulseOp::Shuttle { distance: d });
-                    schedule.push(PulseOp::Transfer);
-                }
+            let home = a;
+            if home != pos[a] && cell_of[home].is_none() {
+                let d = dist(pos[a], home);
+                cell_of[pos[a]] = None;
+                cell_of[home] = Some(a);
+                pos[a] = home;
+                schedule.push(PulseOp::Transfer);
+                schedule.push(PulseOp::Shuttle { distance: d });
+                schedule.push(PulseOp::Transfer);
             }
         }
 
@@ -228,6 +207,69 @@ impl FpqaCompiler for Atomique {
             start.elapsed().as_secs_f64(),
             steps,
         ))
+    }
+}
+
+/// Each qubit's two-qubit gates as ascending ordinals with their partner
+/// qubits (one flat run per qubit), plus a monotone window cursor per
+/// qubit: windows only move forward, so every cursor step is paid once.
+struct GateLists {
+    /// Qubit `q`'s run is `first[q]..first[q + 1]`.
+    first: Vec<usize>,
+    ordinal: Vec<usize>,
+    partner: Vec<usize>,
+    /// Per qubit, the run indices of the current window's bounds.
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl GateLists {
+    /// Lists the two-qubit gates `pairs` (in stream order) over `n` qubits.
+    fn new(n: usize, pairs: &[(usize, usize)]) -> Self {
+        let mut first = vec![0usize; n + 1];
+        for &(a, b) in pairs {
+            first[a + 1] += 1;
+            if b != a {
+                first[b + 1] += 1;
+            }
+        }
+        for q in 0..n {
+            first[q + 1] += first[q];
+        }
+        let mut fill = first.clone();
+        let mut ordinal = vec![0usize; first[n]];
+        let mut partner = vec![0usize; first[n]];
+        for (t, &(a, b)) in pairs.iter().enumerate() {
+            let ends: &[(usize, usize)] = if b == a { &[(a, b)] } else { &[(a, b), (b, a)] };
+            for &(q, other) in ends {
+                ordinal[fill[q]] = t;
+                partner[fill[q]] = other;
+                fill[q] += 1;
+            }
+        }
+        GateLists {
+            lo: first[..n].to_vec(),
+            hi: first[..n].to_vec(),
+            first,
+            ordinal,
+            partner,
+        }
+    }
+
+    /// `q`'s partners in the gates with ordinals in `window`, in window
+    /// order. Windows must not move backwards between calls.
+    fn partners(&mut self, q: usize, window: &std::ops::Range<usize>) -> &[usize] {
+        let end = self.first[q + 1];
+        let (mut lo, mut hi) = (self.lo[q], self.hi[q]);
+        while lo < end && self.ordinal[lo] < window.start {
+            lo += 1;
+        }
+        hi = hi.max(lo);
+        while hi < end && self.ordinal[hi] < window.end {
+            hi += 1;
+        }
+        (self.lo[q], self.hi[q]) = (lo, hi);
+        &self.partner[lo..hi]
     }
 }
 

@@ -321,6 +321,8 @@ impl Engine {
             sink(&result);
             result
         });
+        // The report's counters describe committed state.
+        self.cache.flush();
         BatchReport {
             results,
             wall_seconds: start.elapsed().as_secs_f64(),

@@ -486,6 +486,8 @@ impl Server {
         if let ListenAddr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
         }
+        // Replies went out before their artifacts' commits: finish those.
+        self.shared.engine.cache().flush();
         log::info("weaver-server", "drained cleanly");
         span::flush_thread();
         Ok(())

@@ -399,8 +399,16 @@ impl Trace {
 mod tests {
     use super::*;
 
-    // The collector is process-global and tests in one binary run
-    // concurrently, so every test filters by its own unique category.
+    // The collector and `ENABLED` are process-global, and tests in one
+    // binary run on parallel threads: one test's `take()` drains spans
+    // another is about to look for, and disabling tracing drops a
+    // sibling's spans. So each test holds `serial()` throughout, and
+    // filters by its own category.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn drain_cat(cat: &str) -> Vec<SpanRecord> {
         take().spans.into_iter().filter(|s| s.cat == cat).collect()
@@ -408,6 +416,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _serial = serial();
         set_enabled(false);
         {
             let _g = span("span-test-disabled", "ignored");
@@ -418,6 +427,7 @@ mod tests {
 
     #[test]
     fn spans_nest_on_one_thread() {
+        let _serial = serial();
         set_enabled(true);
         {
             let _a = span("span-test-nest", "a");
@@ -438,6 +448,7 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_attribute_their_thread() {
+        let _serial = serial();
         set_enabled(true);
         std::thread::Builder::new()
             .name("span-test-worker".into())
@@ -463,6 +474,7 @@ mod tests {
 
     #[test]
     fn chrome_export_has_required_fields() {
+        let _serial = serial();
         set_enabled(true);
         {
             let _g = span("span-test-chrome", "exported").with_arg("k", "v\"q");

@@ -21,15 +21,19 @@
 //!    gated behind `WEAVER_CRASH_HARNESS=1`): a real child process
 //!    hammers puts until it is SIGKILLed at a randomized time, and the
 //!    parent reopens and fully verifies the store. Repeats on the same
-//!    directory so damage can compound.
+//!    directory so damage can compound. `kill9_mid_write_behind_recovers`
+//!    does the same through `ArtifactCache::store`, so the kills land in
+//!    the cache's committer thread, mid-batch.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use weaver::core::cache::{Digest, Fingerprint};
 use weaver::engine::store::fault::FaultState;
 use weaver::engine::store::{Store, StoreTuning};
+use weaver::engine::{Artifact, ArtifactCache, CacheConfig, CacheOutcome};
 
 /// Small pages force multi-page chains so faults land mid-chain too.
 const PAGE: u32 = 256;
@@ -373,6 +377,118 @@ fn kill9_mid_write_recovers() {
         store
             .put(&key(100 + round), &payload(100 + round, 1))
             .unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The artifact the write-behind child stores for (tag, version): the
+/// identity in the first wQasm line, then a payload spanning many pages.
+fn artifact(tag: u64, version: u64) -> Artifact {
+    let body: String = payload(tag, version)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    Artifact {
+        wqasm: format!("// tag {tag} version {version}\n{body}\n"),
+        metrics: weaver::core::Metrics {
+            compilation_seconds: 0.5,
+            execution_micros: version as f64,
+            eps: 0.25,
+            pulses: tag as usize,
+            motion_ops: 1,
+            steps: version,
+        },
+        passes: Vec::new(),
+        swap_count: None,
+        num_colors: None,
+        check_passed: None,
+        check_errors: Vec::new(),
+    }
+}
+
+/// Reads an artifact's (tag, version) identity line.
+fn identity(a: &Artifact) -> Option<(u64, u64)> {
+    let rest = a.wqasm.lines().next()?.strip_prefix("// tag ")?;
+    let (tag, version) = rest.split_once(" version ")?;
+    Some((tag.parse().ok()?, version.parse().ok()?))
+}
+
+fn cache_config(dir: &std::path::Path) -> CacheConfig {
+    CacheConfig {
+        memory_capacity: 2,
+        disk_dir: Some(dir.to_path_buf()),
+        store: tuning(None),
+    }
+}
+
+/// Not a test of its own: spawned by `kill9_mid_write_behind_recovers`
+/// with `WEAVER_CRASH_ROLE=cache-writer`, it stores artifacts through the
+/// cache's committer until killed.
+#[test]
+fn crash_child_cache_writer_loop() {
+    if std::env::var("WEAVER_CRASH_ROLE").as_deref() != Ok("cache-writer") {
+        return;
+    }
+    let dir = PathBuf::from(std::env::var("WEAVER_CRASH_DIR").expect("parent sets the dir"));
+    let base: u64 = std::env::var("WEAVER_CRASH_BASE").unwrap().parse().unwrap();
+    let cache = ArtifactCache::new(cache_config(&dir)).expect("child opens the cache");
+    let mut version = base;
+    loop {
+        for tag in 0..6u64 {
+            version += 1;
+            cache.store(key(tag), Arc::new(artifact(tag, version)));
+        }
+    }
+}
+
+#[test]
+fn kill9_mid_write_behind_recovers() {
+    if std::env::var("WEAVER_CRASH_HARNESS").is_err() {
+        eprintln!("kill9_mid_write_behind_recovers: set WEAVER_CRASH_HARNESS=1 to run");
+        return;
+    }
+    let dir = tdir("kill-write-behind");
+    std::fs::create_dir_all(&dir).unwrap();
+    let exe = std::env::current_exe().unwrap();
+    let mut rng = StdRng::seed_from_u64(4321);
+    for round in 0..8u64 {
+        let mut child = std::process::Command::new(&exe)
+            .args(["crash_child_cache_writer_loop", "--exact", "--nocapture"])
+            .env("WEAVER_CRASH_ROLE", "cache-writer")
+            .env("WEAVER_CRASH_DIR", &dir)
+            .env("WEAVER_CRASH_BASE", (round * 1_000_000).to_string())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn cache-writer child");
+        std::thread::sleep(std::time::Duration::from_millis(rng.gen_range(20..400u64)));
+        child.kill().expect("kill writer");
+        let _ = child.wait();
+
+        // The store recovers consistent...
+        let mut store = Store::open(&dir, tuning(None)).expect("recovery after SIGKILL");
+        assert!(store.verify().unwrap().consistent(), "round {round}");
+        let present: Vec<u64> = (0..6u64).filter(|&t| store.contains(&key(t))).collect();
+        drop(store);
+        // ...every artifact in it parses as one the child stored...
+        let cache = ArtifactCache::new(cache_config(&dir)).expect("reopen the cache");
+        for tag in present {
+            let (a, outcome) = cache.lookup(&key(tag)).expect("a stored artifact parses");
+            assert_eq!(outcome, CacheOutcome::DiskHit);
+            let (t, v) = identity(&a).expect("identity line");
+            assert_eq!(t, tag, "cross-keyed artifact after kill");
+            assert_eq!(*a, artifact(t, v), "torn artifact after kill");
+        }
+        // ...and the cache is still writable, earlier rounds' writes included.
+        for earlier in 0..round {
+            let (a, _) = cache
+                .lookup(&key(100 + earlier))
+                .expect("a flushed write survives");
+            assert_eq!(*a, artifact(100 + earlier, 1));
+        }
+        cache.store(key(100 + round), Arc::new(artifact(100 + round, 1)));
+        cache.flush();
+        assert_eq!(cache.stats().disk_write_errors, 0, "round {round}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
