@@ -6,7 +6,6 @@ use weaver_baselines::{Atomique, Dpqa, FpqaCompiler, Geyser};
 use weaver_core::Weaver;
 use weaver_fpqa::FpqaParams;
 use weaver_sat::generator;
-use weaver_superconducting::CouplingMap;
 
 fn bench_compilation_uf20(c: &mut Criterion) {
     let f = generator::instance(20, 1);
@@ -15,12 +14,12 @@ fn bench_compilation_uf20(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("weaver", |b| {
         let w = Weaver::new();
-        b.iter(|| w.compile_fpqa(&f))
+        b.iter(|| w.compile_target("fpqa", &f).unwrap())
     });
     group.bench_function("superconducting", |b| {
+        // SABRE onto the IBM Washington heavy-hex map.
         let w = Weaver::new();
-        let coupling = CouplingMap::ibm_washington();
-        b.iter(|| w.compile_superconducting(&f, &coupling))
+        b.iter(|| w.compile_target("superconducting", &f).unwrap())
     });
     group.bench_function("atomique", |b| {
         let a = Atomique::new(params.clone());
@@ -44,7 +43,7 @@ fn bench_weaver_scaling(c: &mut Criterion) {
         let f = generator::instance(size, 1);
         group.bench_with_input(BenchmarkId::from_parameter(size), &f, |b, f| {
             let w = Weaver::new();
-            b.iter(|| w.compile_fpqa(f))
+            b.iter(|| w.compile_target("fpqa", f).unwrap())
         });
     }
     group.finish();

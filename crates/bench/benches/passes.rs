@@ -43,10 +43,10 @@ fn bench_checker(c: &mut Criterion) {
     group.sample_size(10);
     for size in [8usize, 20, 50] {
         let f = generator::instance(size, 1);
-        let out = Weaver::new().compile_fpqa(&f);
+        let out = Weaver::new().compile_target("fpqa", &f).unwrap();
         group.bench_with_input(
             BenchmarkId::from_parameter(size),
-            &out.compiled.program,
+            &out.artifact.as_fpqa().unwrap().program,
             |b, p| b.iter(|| checker::check(p, &FpqaParams::default(), None)),
         );
     }
@@ -83,7 +83,7 @@ fn bench_ablations(c: &mut Criterion) {
     ];
     for (name, options) in configs {
         let w = Weaver::new().with_options(options);
-        group.bench_function(name, |b| b.iter(|| w.compile_fpqa(&f)));
+        group.bench_function(name, |b| b.iter(|| w.compile_target("fpqa", &f).unwrap()));
     }
     group.finish();
 }

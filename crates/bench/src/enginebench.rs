@@ -34,8 +34,8 @@ pub struct EngineBench {
     pub cache_hits: usize,
 }
 
-/// The jobs of the benchmark suite: the eight fixture instances, checker
-/// enabled (so the warm path also exercises the memoized device traces).
+/// The jobs of the benchmark suite: the eight fixture instances, with the
+/// wChecker on when `check` is set.
 pub fn suite_jobs(check: bool) -> Vec<CompileJob> {
     (1..=SUITE_SIZE)
         .map(|v| {

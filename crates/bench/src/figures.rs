@@ -303,7 +303,7 @@ pub fn devices(suite: &Suite) -> String {
         let mut done = 0usize;
         for variant in 1..=suite.variants {
             let f = generator::instance(20, variant);
-            let out = match backend.compile(&weaver, &f, None) {
+            let out = match backend.compile(&weaver, &f) {
                 Ok(out) => out,
                 Err(_) => continue,
             };
@@ -514,7 +514,9 @@ pub fn ablation(suite: &Suite) -> String {
         let weaver = Weaver::new()
             .with_fpqa_params(suite.params.clone())
             .with_options(options);
-        let out = weaver.compile_fpqa(&f);
+        let out = weaver
+            .compile_target("fpqa", &f)
+            .expect("the FPQA backend accepts any formula");
         rows.push(vec![
             name.to_string(),
             sci(out.metrics.compilation_seconds),

@@ -31,7 +31,6 @@
 //! use weaver_core::backend::{
 //!     Backend, BackendError, BackendInfo, BackendRegistry, CompileOutput, CompiledArtifact,
 //! };
-//! use weaver_core::cache::CacheHandle;
 //! use weaver_core::{Metrics, Weaver};
 //! use weaver_sat::{generator, Formula};
 //!
@@ -52,12 +51,7 @@
 //!         vec!["count"]
 //!     }
 //!
-//!     fn compile(
-//!         &self,
-//!         weaver: &Weaver,
-//!         formula: &Formula,
-//!         _cache: Option<&CacheHandle>,
-//!     ) -> Result<CompileOutput, BackendError> {
+//!     fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
 //!         let circuit = weaver_sat::qaoa::build_circuit(formula, &weaver.options.qaoa, false);
 //!         Ok(CompileOutput {
 //!             backend: "counting".to_string(),
@@ -83,13 +77,12 @@
 //! let out = registry
 //!     .get("counting")
 //!     .unwrap()
-//!     .compile(&Weaver::new(), &generator::instance(6, 1), None)
+//!     .compile(&Weaver::new(), &generator::instance(6, 1))
 //!     .unwrap();
 //! assert_eq!(out.metrics.pulses, generator::instance(6, 1).num_clauses());
 //! ```
 
-use crate::cache::CacheHandle;
-use crate::checker::CheckReport;
+use crate::checker::{self, CheckReport};
 use crate::codegen::{self, CompiledFpqa};
 use crate::coloring::ClauseColoring;
 use crate::frontend::Workload;
@@ -99,7 +92,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use weaver_circuit::{native, Circuit, NativeBasis};
 use weaver_sat::{qaoa, Formula};
-use weaver_simulator::{gates, Complex, State};
+use weaver_simulator::{gates, Complex, State, UnitaryBuilder};
 use weaver_superconducting::{
     device, transpile, CouplingMap, DeviceSpec, RouteError, TranspileResult,
 };
@@ -168,8 +161,6 @@ pub struct PassContext<'a> {
     pub weaver: &'a Weaver,
     /// The workload being lowered.
     pub formula: &'a Formula,
-    /// Optional shared memo store (clause plans, checker traces).
-    pub cache: Option<&'a CacheHandle>,
 }
 
 /// One named lowering pass over backend-specific state `S`; returns the
@@ -269,6 +260,14 @@ impl CompiledArtifact {
         }
     }
 
+    /// The compiled FPQA program (FPQA only).
+    pub fn as_fpqa(&self) -> Option<&CompiledFpqa> {
+        match self {
+            CompiledArtifact::Fpqa(compiled) => Some(compiled),
+            _ => None,
+        }
+    }
+
     /// Colors used by the clause coloring (FPQA only).
     pub fn num_colors(&self) -> Option<usize> {
         match self {
@@ -308,7 +307,7 @@ pub struct SimulatorRun {
 #[derive(Clone, Debug)]
 pub struct CompileOutput {
     /// Primary name of the backend that produced this output, so dispatch
-    /// sites (e.g. [`Weaver::verify_output`]) can route back to the
+    /// sites (e.g. [`Weaver::verify`]) can route back to the
     /// producing backend's hooks without re-deriving it from the artifact.
     /// Owned because device-family backends (`sc:grid:3x4`) are minted at
     /// resolution time.
@@ -425,7 +424,7 @@ pub struct BackendInfo {
 /// let formula = generator::instance(10, 1);
 /// let weaver = Weaver::new();
 /// for backend in registry.backends() {
-///     let out = backend.compile(&weaver, &formula, None).unwrap();
+///     let out = backend.compile(&weaver, &formula).unwrap();
 ///     assert!(out.metrics.eps > 0.0, "{}", backend.info().name);
 ///     assert!(!out.passes.is_empty());
 /// }
@@ -437,19 +436,13 @@ pub trait Backend: Send + Sync {
     /// The names of the lowering passes `compile` runs, in order.
     fn passes(&self) -> Vec<&'static str>;
 
-    /// Compiles `formula` for this target under `weaver`'s configuration,
-    /// optionally threading a shared memo `cache` through the passes.
+    /// Compiles `formula` for this target under `weaver`'s configuration.
     ///
     /// # Errors
     ///
     /// [`BackendErrorKind::Unsupported`] when the workload does not fit the
     /// target (see [`BackendInfo::max_qubits`]).
-    fn compile(
-        &self,
-        weaver: &Weaver,
-        formula: &Formula,
-        cache: Option<&CacheHandle>,
-    ) -> Result<CompileOutput, BackendError>;
+    fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError>;
 
     /// Whether this target accepts direct circuit workloads (front ends
     /// like `wqasm` that enter at the circuit IR). Targets whose lowering
@@ -472,9 +465,8 @@ pub trait Backend: Send + Sync {
         &self,
         weaver: &Weaver,
         program: &Program,
-        cache: Option<&CacheHandle>,
     ) -> Result<CompileOutput, BackendError> {
-        let _ = (weaver, program, cache);
+        let _ = (weaver, program);
         Err(BackendError::circuit_unsupported(&self.info().name))
     }
 
@@ -489,11 +481,10 @@ pub trait Backend: Send + Sync {
         &self,
         weaver: &Weaver,
         workload: &Workload,
-        cache: Option<&CacheHandle>,
     ) -> Result<CompileOutput, BackendError> {
         match workload {
-            Workload::MaxSat(formula) => self.compile(weaver, formula, cache),
-            Workload::Circuit(program) => self.compile_circuit(weaver, program, cache),
+            Workload::MaxSat(formula) => self.compile(weaver, formula),
+            Workload::Circuit(program) => self.compile_circuit(weaver, program),
         }
     }
 
@@ -504,9 +495,8 @@ pub trait Backend: Send + Sync {
         weaver: &Weaver,
         output: &CompileOutput,
         formula: &Formula,
-        cache: Option<&CacheHandle>,
     ) -> Option<CheckReport> {
-        let _ = (weaver, output, formula, cache);
+        let _ = (weaver, output, formula);
         None
     }
 }
@@ -551,12 +541,11 @@ impl FpqaBackend {
             })
             .pass("emit-wqasm", |state, ctx| {
                 let coloring = state.coloring.take().expect("clause-coloring ran");
-                let compiled = codegen::compile_formula_with_coloring_cached(
+                let compiled = codegen::compile_formula_with_coloring(
                     ctx.formula,
                     &ctx.weaver.fpqa_params,
                     &state.options,
                     coloring,
-                    ctx.cache,
                 );
                 let steps = compiled.steps;
                 state.compiled = Some(compiled);
@@ -580,18 +569,9 @@ impl Backend for FpqaBackend {
         FpqaBackend::manager().names()
     }
 
-    fn compile(
-        &self,
-        weaver: &Weaver,
-        formula: &Formula,
-        cache: Option<&CacheHandle>,
-    ) -> Result<CompileOutput, BackendError> {
+    fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
         let start = Instant::now();
-        let ctx = PassContext {
-            weaver,
-            formula,
-            cache,
-        };
+        let ctx = PassContext { weaver, formula };
         let mut state = FpqaLowering {
             options: weaver.options.clone(),
             coloring: None,
@@ -614,19 +594,24 @@ impl Backend for FpqaBackend {
         })
     }
 
+    /// Runs the wChecker, comparing against the QAOA reference circuit
+    /// when the register is small enough for the unitary check.
     fn verify(
         &self,
         weaver: &Weaver,
         output: &CompileOutput,
         formula: &Formula,
-        cache: Option<&CacheHandle>,
     ) -> Option<CheckReport> {
-        match &output.artifact {
-            CompiledArtifact::Fpqa(compiled) => {
-                Some(weaver.verify_program(&compiled.program, formula, cache))
-            }
-            _ => None,
-        }
+        let CompiledArtifact::Fpqa(compiled) = &output.artifact else {
+            return None;
+        };
+        let reference = (formula.num_vars() <= UnitaryBuilder::MAX_QUBITS)
+            .then(|| qaoa::build_circuit(formula, &weaver.options.qaoa, false));
+        Some(checker::check(
+            &compiled.program,
+            &weaver.fpqa_params,
+            reference.as_ref(),
+        ))
     }
 }
 
@@ -741,12 +726,7 @@ impl Backend for SuperconductingBackend {
         SuperconductingBackend::manager().names()
     }
 
-    fn compile(
-        &self,
-        weaver: &Weaver,
-        formula: &Formula,
-        cache: Option<&CacheHandle>,
-    ) -> Result<CompileOutput, BackendError> {
+    fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
         if formula.num_vars() > self.coupling.num_qubits() {
             return Err(BackendError::too_many_qubits(
                 formula.num_vars(),
@@ -754,11 +734,7 @@ impl Backend for SuperconductingBackend {
             ));
         }
         let start = Instant::now();
-        let ctx = PassContext {
-            weaver,
-            formula,
-            cache,
-        };
+        let ctx = PassContext { weaver, formula };
         let mut state = ScLowering {
             coupling: self.coupling.clone(),
             circuit: None,
@@ -786,9 +762,7 @@ impl Backend for SuperconductingBackend {
         &self,
         weaver: &Weaver,
         program: &Program,
-        cache: Option<&CacheHandle>,
     ) -> Result<CompileOutput, BackendError> {
-        let _ = cache;
         let start = Instant::now();
         let (ingested, ingest) = timed_pass("ingest-circuit", || {
             let result =
@@ -939,12 +913,7 @@ impl Backend for SimulatorBackend {
         SimulatorBackend::manager().names()
     }
 
-    fn compile(
-        &self,
-        weaver: &Weaver,
-        formula: &Formula,
-        cache: Option<&CacheHandle>,
-    ) -> Result<CompileOutput, BackendError> {
+    fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
         if formula.num_vars() > SimulatorBackend::MAX_QUBITS {
             return Err(BackendError::too_many_qubits(
                 formula.num_vars(),
@@ -952,11 +921,7 @@ impl Backend for SimulatorBackend {
             ));
         }
         let start = Instant::now();
-        let ctx = PassContext {
-            weaver,
-            formula,
-            cache,
-        };
+        let ctx = PassContext { weaver, formula };
         let mut state = SimLowering {
             circuit: None,
             native: None,
@@ -996,11 +961,9 @@ impl Backend for SimulatorBackend {
 
     fn compile_circuit(
         &self,
-        weaver: &Weaver,
+        _weaver: &Weaver,
         program: &Program,
-        cache: Option<&CacheHandle>,
     ) -> Result<CompileOutput, BackendError> {
-        let _ = (weaver, cache);
         let start = Instant::now();
         let (ingested, ingest) = timed_pass("ingest-circuit", || {
             let result =
@@ -1107,7 +1070,7 @@ impl Backend for SimulatorBackend {
 /// let ideal = registry
 ///     .get("simulator")
 ///     .unwrap()
-///     .compile(&weaver, &formula, None)
+///     .compile(&weaver, &formula)
 ///     .unwrap();
 /// assert!(ideal.metrics.eps > 0.0 && ideal.metrics.eps <= 1.0);
 /// let grid = registry.resolve("sc:grid:4x5").unwrap();
@@ -1284,13 +1247,13 @@ mod tests {
         let f = generator::instance(10, 1);
         for name in ["sc:line", "sc:grid", "sc:eagle", "sc:heron", "sc:grid:3x4"] {
             let backend = registry.resolve(name).unwrap();
-            let out = backend.compile(&weaver, &f, None).unwrap();
+            let out = backend.compile(&weaver, &f).unwrap();
             assert_eq!(out.backend, backend.info().name, "{name}");
             assert!(out.artifact.swap_count().is_some(), "{name}");
         }
         // A workload wider than the device is a typed error, not a panic.
         let tiny = registry.resolve("sc:grid:2x2").unwrap();
-        let err = tiny.compile(&weaver, &f, None).unwrap_err();
+        let err = tiny.compile(&weaver, &f).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::Unsupported);
         assert!(err.message.contains("exceed the 4-qubit backend"), "{err}");
     }
@@ -1302,7 +1265,7 @@ mod tests {
             let names = backend.passes();
             assert!(!names.is_empty(), "{}", backend.info().name);
             let out = backend
-                .compile(&Weaver::new(), &generator::instance(8, 1), None)
+                .compile(&Weaver::new(), &generator::instance(8, 1))
                 .unwrap();
             let ran: Vec<&'static str> = out.passes.iter().map(|p| p.name).collect();
             assert_eq!(ran, names, "{}", backend.info().name);
@@ -1313,7 +1276,7 @@ mod tests {
     #[test]
     fn simulator_reports_ideal_eps() {
         let f = generator::instance(10, 1);
-        let out = SimulatorBackend.compile(&Weaver::new(), &f, None).unwrap();
+        let out = SimulatorBackend.compile(&Weaver::new(), &f).unwrap();
         let CompiledArtifact::Simulator(run) = &out.artifact else {
             panic!("simulator artifact expected");
         };
@@ -1337,7 +1300,7 @@ mod tests {
                 Clause::weighted(vec![Lit::neg(0)], 2),
             ],
         );
-        let out = SimulatorBackend.compile(&Weaver::new(), &f, None).unwrap();
+        let out = SimulatorBackend.compile(&Weaver::new(), &f).unwrap();
         let CompiledArtifact::Simulator(run) = &out.artifact else {
             panic!("simulator artifact expected");
         };
@@ -1354,7 +1317,7 @@ mod tests {
         // FPQA declares no circuit support and rejects structurally.
         assert!(!FpqaBackend.supports_circuits());
         let err = FpqaBackend
-            .compile_workload(&weaver, &workload, None)
+            .compile_workload(&weaver, &workload)
             .unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::UnsupportedWorkload);
         assert!(err.message.contains("`fpqa`"), "{err}");
@@ -1363,7 +1326,7 @@ mod tests {
         // The simulator runs it: a Bell pair peaks at p = 0.5 on two states.
         assert!(SimulatorBackend.supports_circuits());
         let out = SimulatorBackend
-            .compile_workload(&weaver, &workload, None)
+            .compile_workload(&weaver, &workload)
             .unwrap();
         let CompiledArtifact::Simulator(run) = &out.artifact else {
             panic!("simulator artifact expected");
@@ -1375,7 +1338,7 @@ mod tests {
         // Superconducting targets route it and report SWAP counts.
         let sc = SuperconductingBackend::new();
         assert!(sc.supports_circuits());
-        let out = sc.compile_workload(&weaver, &workload, None).unwrap();
+        let out = sc.compile_workload(&weaver, &workload).unwrap();
         assert!(out.artifact.swap_count().is_some());
         let ran: Vec<&str> = out.passes.iter().map(|p| p.name).collect();
         assert_eq!(ran, vec!["ingest-circuit", "sabre-transpile"]);
@@ -1383,9 +1346,9 @@ mod tests {
         // MaxSat workloads dispatch to the formula path unchanged.
         let f = generator::instance(8, 1);
         let via_workload = FpqaBackend
-            .compile_workload(&weaver, &Workload::MaxSat(f.clone()), None)
+            .compile_workload(&weaver, &Workload::MaxSat(f.clone()))
             .unwrap();
-        let direct = FpqaBackend.compile(&weaver, &f, None).unwrap();
+        let direct = FpqaBackend.compile(&weaver, &f).unwrap();
         assert_eq!(
             via_workload.artifact.print_wqasm(),
             direct.artifact.print_wqasm()
@@ -1396,7 +1359,7 @@ mod tests {
     fn oversized_circuits_are_typed_errors() {
         let program = weaver_wqasm::parse("qreg q[25];\nh q[0];\n").unwrap();
         let err = SimulatorBackend
-            .compile_circuit(&Weaver::new(), &program, None)
+            .compile_circuit(&Weaver::new(), &program)
             .unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::Unsupported);
         assert!(err.message.contains("exceed the 20-qubit backend"));
@@ -1405,9 +1368,7 @@ mod tests {
     #[test]
     fn simulator_rejects_oversized_registers() {
         let f = generator::instance(50, 1);
-        let err = SimulatorBackend
-            .compile(&Weaver::new(), &f, None)
-            .unwrap_err();
+        let err = SimulatorBackend.compile(&Weaver::new(), &f).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::Unsupported);
         assert!(err.message.contains("exceed the 20-qubit backend"));
     }
@@ -1416,17 +1377,13 @@ mod tests {
     fn fpqa_backend_verifies_its_own_output() {
         let f = generator::instance(10, 2);
         let weaver = Weaver::new();
-        let out = FpqaBackend.compile(&weaver, &f, None).unwrap();
-        let report = FpqaBackend
-            .verify(&weaver, &out, &f, None)
-            .expect("fpqa checks");
+        let out = FpqaBackend.compile(&weaver, &f).unwrap();
+        let report = FpqaBackend.verify(&weaver, &out, &f).expect("fpqa checks");
         assert!(report.passed(), "{:?}", report.errors);
         // Targets without a checker return None.
-        let sc = SuperconductingBackend::new()
-            .compile(&weaver, &f, None)
-            .unwrap();
+        let sc = SuperconductingBackend::new().compile(&weaver, &f).unwrap();
         assert!(SuperconductingBackend::new()
-            .verify(&weaver, &sc, &f, None)
+            .verify(&weaver, &sc, &f)
             .is_none());
     }
 }

@@ -1,21 +1,9 @@
-//! Content hashing and the compilation-cache handle threaded through the
-//! pipeline (`weaver-engine`'s artifact cache builds on these primitives).
-//!
-//! Two things live here:
-//!
-//! * [`Blake2s`] / [`Digest`] / [`Fingerprint`] — a dependency-free
-//!   BLAKE2s-256 implementation used to content-address compilation
-//!   artifacts (canonical formula ⊕ target parameters ⊕ options ⊕ compiler
-//!   version) and checker device traces,
-//! * [`CacheHandle`] — a cheaply clonable, thread-safe memo store shared by
-//!   concurrent compilations: the wChecker's per-annotation device-state
-//!   traces (so re-checking an unchanged annotation stream skips pulse
-//!   re-simulation) and the wOptimizer's per-clause execution plans.
+//! Content hashing for `weaver-engine`'s artifact cache, the only cache:
+//! [`Blake2s`] / [`Digest`] / [`Fingerprint`] are a dependency-free
+//! BLAKE2s-256 implementation that content-addresses compilation artifacts
+//! (canonical formula ⊕ target parameters ⊕ options ⊕ [`COMPILER_VERSION`]).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Compiler version folded into every artifact key, so a new release never
 /// serves artifacts produced by an old one. The `+r` revision moves when a
@@ -274,134 +262,11 @@ impl Fingerprint {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared memo store
-// ---------------------------------------------------------------------------
-
-/// One recorded device interaction of a wChecker run, in encounter order.
-/// Replaying a trace yields exactly the outcomes a live [`weaver_fpqa::FpqaDevice`]
-/// simulation would produce for the same annotation stream.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DeviceEvent {
-    /// A setup annotation (`@slm`, `@aod`, `@bind`) outcome.
-    Setup(Result<(), String>),
-    /// A motion annotation (`@transfer`, `@shuttle`) outcome.
-    Motion(Result<(), String>),
-    /// A `@rydberg` interaction-group query outcome.
-    Groups(Result<Vec<Vec<usize>>, String>),
-}
-
-/// The full device interaction trace of one checker run.
-pub type DeviceTrace = Vec<DeviceEvent>;
-
-/// Cache hit/miss counters, snapshotted by [`CacheHandle::stats`].
+/// A unit type with no state, kept only so callers of the two deprecated
+/// forwards ([`crate::Weaver::compile_workload_cached`],
+/// [`crate::Weaver::verify_workload`]) still compile. Nothing reads it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Checker device-trace hits (pulse re-simulation skipped).
-    pub checker_hits: u64,
-    /// Checker device-trace misses (live simulation recorded).
-    pub checker_misses: u64,
-    /// Clause-plan memo hits.
-    pub plan_hits: u64,
-    /// Clause-plan memo misses.
-    pub plan_misses: u64,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    device_traces: Mutex<HashMap<Digest, Arc<DeviceTrace>>>,
-    clause_plans: Mutex<HashMap<Digest, Arc<crate::codegen::ClausePlan>>>,
-    checker_hits: AtomicU64,
-    checker_misses: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-}
-
-/// A cheaply clonable, thread-safe handle to the shared compilation memo
-/// store. All clones see the same underlying store; `Default` builds an
-/// empty one.
-///
-/// # Examples
-///
-/// ```
-/// use weaver_core::cache::CacheHandle;
-/// use weaver_core::Weaver;
-/// use weaver_sat::generator;
-///
-/// let cache = CacheHandle::new();
-/// let weaver = Weaver::new();
-/// let f = generator::instance(20, 1);
-/// let out = weaver.compile_fpqa_cached(&f, Some(&cache));
-/// // First verification records the device trace, the second replays it.
-/// assert!(weaver.verify_cached(&out, &f, Some(&cache)).passed());
-/// assert!(weaver.verify_cached(&out, &f, Some(&cache)).passed());
-/// assert_eq!(cache.stats().checker_hits, 1);
-/// ```
-#[derive(Clone, Default)]
-pub struct CacheHandle {
-    inner: Arc<CacheInner>,
-}
-
-impl fmt::Debug for CacheHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CacheHandle")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl CacheHandle {
-    /// An empty memo store.
-    pub fn new() -> Self {
-        CacheHandle::default()
-    }
-
-    /// Looks up a recorded checker device trace, counting hit/miss.
-    pub fn device_trace(&self, key: &Digest) -> Option<Arc<DeviceTrace>> {
-        let found = self.inner.device_traces.lock().unwrap().get(key).cloned();
-        match &found {
-            Some(_) => self.inner.checker_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.checker_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Stores a checker device trace.
-    pub fn store_device_trace(&self, key: Digest, trace: DeviceTrace) {
-        self.inner
-            .device_traces
-            .lock()
-            .unwrap()
-            .insert(key, Arc::new(trace));
-    }
-
-    pub(crate) fn clause_plan(&self, key: &Digest) -> Option<Arc<crate::codegen::ClausePlan>> {
-        let found = self.inner.clause_plans.lock().unwrap().get(key).cloned();
-        match &found {
-            Some(_) => self.inner.plan_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.plan_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    pub(crate) fn store_clause_plan(&self, key: Digest, plan: crate::codegen::ClausePlan) {
-        self.inner
-            .clause_plans
-            .lock()
-            .unwrap()
-            .insert(key, Arc::new(plan));
-    }
-
-    /// A point-in-time snapshot of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            checker_hits: self.inner.checker_hits.load(Ordering::Relaxed),
-            checker_misses: self.inner.checker_misses.load(Ordering::Relaxed),
-            plan_hits: self.inner.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.inner.plan_misses.load(Ordering::Relaxed),
-        }
-    }
-}
+pub struct CacheHandle;
 
 /// Hashes the full parameter set of an FPQA backend into `fp` — every field
 /// that can influence compilation or checking.
@@ -514,25 +379,5 @@ mod tests {
         let mut b = Fingerprint::new();
         b.str("a").str("bc");
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn cache_handle_counts_hits_and_misses() {
-        let cache = CacheHandle::new();
-        let key = Fingerprint::new().digest();
-        assert!(cache.device_trace(&key).is_none());
-        cache.store_device_trace(key, vec![DeviceEvent::Setup(Ok(()))]);
-        assert!(cache.device_trace(&key).is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.checker_hits, stats.checker_misses), (1, 1));
-    }
-
-    #[test]
-    fn clones_share_the_store() {
-        let cache = CacheHandle::new();
-        let clone = cache.clone();
-        let key = Fingerprint::new().digest();
-        clone.store_device_trace(key, Vec::new());
-        assert!(cache.device_trace(&key).is_some());
     }
 }

@@ -12,12 +12,8 @@
 //! 4. the reconstructed circuit is equivalent to a reference circuit
 //!    (full unitary comparison up to [`UnitaryBuilder::MAX_QUBITS`] qubits).
 
-use crate::cache::{
-    fingerprint_fpqa_params, CacheHandle, DeviceEvent, DeviceTrace, Digest, Fingerprint,
-};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use weaver_circuit::{Circuit, Gate};
 use weaver_fpqa::{FpqaDevice, FpqaParams, Location};
 use weaver_simulator::{equiv, Complex, Matrix, UnitaryBuilder};
@@ -62,165 +58,6 @@ impl fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
-
-/// The wChecker's view of the FPQA device: either a live simulation whose
-/// outcomes are recorded as a [`DeviceTrace`], or a replay of a previously
-/// recorded trace for a byte-identical annotation stream (the cached path —
-/// no pulse re-simulation happens at all).
-enum DeviceOracle {
-    Live {
-        device: Box<FpqaDevice>,
-        trace: DeviceTrace,
-    },
-    Replay {
-        trace: Arc<DeviceTrace>,
-        cursor: usize,
-    },
-}
-
-impl DeviceOracle {
-    fn live(params: &FpqaParams) -> Self {
-        DeviceOracle::Live {
-            device: Box::new(FpqaDevice::new(params.clone())),
-            trace: Vec::new(),
-        }
-    }
-
-    /// Runs a setup/motion device operation (or replays its outcome).
-    fn run(
-        &mut self,
-        motion: bool,
-        op: impl FnOnce(&mut FpqaDevice) -> Result<(), weaver_fpqa::FpqaError>,
-    ) -> Result<(), String> {
-        match self {
-            DeviceOracle::Live { device, trace } => {
-                let outcome = op(device).map_err(|e| e.to_string());
-                trace.push(if motion {
-                    DeviceEvent::Motion(outcome.clone())
-                } else {
-                    DeviceEvent::Setup(outcome.clone())
-                });
-                outcome
-            }
-            DeviceOracle::Replay { trace, cursor } => {
-                let event = &trace[*cursor];
-                *cursor += 1;
-                match event {
-                    DeviceEvent::Setup(r) | DeviceEvent::Motion(r) => r.clone(),
-                    DeviceEvent::Groups(_) => unreachable!("trace out of sync with annotations"),
-                }
-            }
-        }
-    }
-
-    /// Queries the interaction groups a `@rydberg` pulse would drive.
-    fn rydberg_groups(&mut self) -> Result<Vec<Vec<usize>>, String> {
-        match self {
-            DeviceOracle::Live { device, trace } => {
-                let outcome = device.rydberg_groups().map_err(|e| e.to_string());
-                trace.push(DeviceEvent::Groups(outcome.clone()));
-                outcome
-            }
-            DeviceOracle::Replay { trace, cursor } => {
-                let event = &trace[*cursor];
-                *cursor += 1;
-                match event {
-                    DeviceEvent::Groups(r) => r.clone(),
-                    _ => unreachable!("trace out of sync with annotations"),
-                }
-            }
-        }
-    }
-}
-
-/// Content key of a checker device trace: the device parameters plus the
-/// exact annotation stream (every field of every annotation, in order),
-/// framed by statement placement — a standalone pulse annotation records no
-/// device event while a gate-attached one does, so the same flat annotation
-/// sequence under different placements must key differently. Two programs
-/// with identical keys drive a [`FpqaDevice`] identically.
-pub fn device_trace_key(program: &Program, params: &FpqaParams) -> Digest {
-    let mut fp = Fingerprint::new();
-    fp.tag(0xC4).str(crate::cache::COMPILER_VERSION);
-    fingerprint_fpqa_params(&mut fp, params);
-    fp.usize(program.num_qubits());
-    for stmt in &program.statements {
-        match stmt {
-            Statement::Standalone(a) => {
-                fp.tag(0xB1);
-                fingerprint_annotation(&mut fp, a);
-            }
-            Statement::GateCall { annotations, .. } => {
-                fp.tag(0xB2).usize(annotations.len());
-                for a in annotations {
-                    fingerprint_annotation(&mut fp, a);
-                }
-            }
-            _ => {
-                fp.tag(0xB0);
-            }
-        }
-    }
-    fp.digest()
-}
-
-fn fingerprint_annotation(fp: &mut Fingerprint, a: &Annotation) {
-    match a {
-        Annotation::Slm { positions } => {
-            fp.tag(1).usize(positions.len());
-            for &(x, y) in positions {
-                fp.f64(x).f64(y);
-            }
-        }
-        Annotation::Aod { xs, ys } => {
-            fp.tag(2).usize(xs.len());
-            for &x in xs {
-                fp.f64(x);
-            }
-            fp.usize(ys.len());
-            for &y in ys {
-                fp.f64(y);
-            }
-        }
-        Annotation::Bind { qubit, target } => {
-            fp.tag(3).str(&qubit.register).usize(qubit.index);
-            match target {
-                BindTarget::Slm(i) => fp.tag(0).usize(*i),
-                BindTarget::Aod(c, r) => fp.tag(1).usize(*c).usize(*r),
-            };
-        }
-        Annotation::Transfer { slm_index, aod } => {
-            fp.tag(4).usize(*slm_index).usize(aod.0).usize(aod.1);
-        }
-        Annotation::Shuttle {
-            axis,
-            index,
-            offset,
-        } => {
-            fp.tag(5)
-                .tag(matches!(axis, ShuttleAxis::Row) as u8)
-                .usize(*index)
-                .f64(*offset);
-        }
-        Annotation::RamanGlobal { x, y, z } => {
-            fp.tag(6).f64(*x).f64(*y).f64(*z);
-        }
-        Annotation::RamanLocal { qubit, x, y, z } => {
-            fp.tag(7)
-                .str(&qubit.register)
-                .usize(qubit.index)
-                .f64(*x)
-                .f64(*y)
-                .f64(*z);
-        }
-        Annotation::Rydberg => {
-            fp.tag(8);
-        }
-        Annotation::Other { keyword, content } => {
-            fp.tag(9).str(keyword).str(content);
-        }
-    }
-}
 
 /// Batched Raman-vs-logical matrix comparison (the ROADMAP perf item). A
 /// program drives hundreds of 2×2 comparisons, almost all repeats: every
@@ -317,30 +154,9 @@ fn write_u3(m: &mut Matrix, theta: f64, phi: f64, lambda: f64) {
 /// additionally verifies full unitary equivalence of the reconstructed
 /// circuit against it.
 pub fn check(program: &Program, params: &FpqaParams, reference: Option<&Circuit>) -> CheckReport {
-    check_with_cache(program, params, reference, None)
-}
-
-/// Like [`check`], but consulting `cache` for a memoized device trace: if
-/// this exact annotation stream (under these device parameters) was checked
-/// before, the pulse re-simulation is skipped and the recorded per-
-/// annotation device outcomes are replayed instead. Results are identical
-/// to the uncached path by construction (differential-tested below).
-pub fn check_with_cache(
-    program: &Program,
-    params: &FpqaParams,
-    reference: Option<&Circuit>,
-    cache: Option<&CacheHandle>,
-) -> CheckReport {
     let mut report = CheckReport::default();
     let n = program.num_qubits();
-    let trace_key = cache.map(|_| device_trace_key(program, params));
-    let mut oracle = match (cache, &trace_key) {
-        (Some(c), Some(key)) => match c.device_trace(key) {
-            Some(trace) => DeviceOracle::Replay { trace, cursor: 0 },
-            None => DeviceOracle::live(params),
-        },
-        _ => DeviceOracle::live(params),
-    };
+    let mut device = FpqaDevice::new(params.clone());
     let mut reconstructed = Circuit::new(n);
     let mut raman = RamanComparator::new();
 
@@ -353,7 +169,7 @@ pub fn check_with_cache(
                 apply_setup_or_motion(
                     a,
                     i,
-                    &mut oracle,
+                    &mut device,
                     &mut report,
                     // A standalone pulse annotation has no statement to
                     // implement — flag Rydberg/Raman here.
@@ -377,7 +193,7 @@ pub fn check_with_cache(
                     match a {
                         Annotation::Rydberg => {
                             consumed_extra = check_rydberg(
-                                &mut oracle,
+                                &device,
                                 statements,
                                 i,
                                 &mut reconstructed,
@@ -409,7 +225,7 @@ pub fn check_with_cache(
                             report.pulses_checked += 1;
                         }
                         other => {
-                            apply_setup_or_motion(other, i, &mut oracle, &mut report, false);
+                            apply_setup_or_motion(other, i, &mut device, &mut report, false);
                         }
                     }
                 }
@@ -428,13 +244,6 @@ pub fn check_with_cache(
                 i += 1;
             }
         }
-    }
-
-    // Record the device trace for future re-checks of the same stream.
-    if let (Some(cache), Some(key), DeviceOracle::Live { trace, .. }) =
-        (cache, trace_key, &mut oracle)
-    {
-        cache.store_device_trace(key, std::mem::take(trace));
     }
 
     // Unitary comparison against the reference.
@@ -456,12 +265,12 @@ pub fn check_with_cache(
     report
 }
 
-/// Applies a setup/motion annotation to the device oracle, recording
+/// Applies a setup/motion annotation to the checker's device, recording
 /// violations.
 fn apply_setup_or_motion(
     a: &Annotation,
     idx: usize,
-    oracle: &mut DeviceOracle,
+    device: &mut FpqaDevice,
     report: &mut CheckReport,
     standalone: bool,
 ) {
@@ -475,12 +284,12 @@ fn apply_setup_or_motion(
         Annotation::Slm { positions } => {
             let pts: Vec<weaver_fpqa::Point> =
                 positions.iter().map(|&(x, y)| (x, y).into()).collect();
-            if let Err(e) = oracle.run(false, |d| d.init_slm(&pts)) {
+            if let Err(e) = device.init_slm(&pts) {
                 fail(format!("@slm rejected: {e}"));
             }
         }
         Annotation::Aod { xs, ys } => {
-            if let Err(e) = oracle.run(false, |d| d.init_aod(xs, ys)) {
+            if let Err(e) = device.init_aod(xs, ys) {
                 fail(format!("@aod rejected: {e}"));
             }
         }
@@ -489,13 +298,13 @@ fn apply_setup_or_motion(
                 BindTarget::Slm(i) => Location::Slm(*i),
                 BindTarget::Aod(c, r) => Location::Aod(*c, *r),
             };
-            if let Err(e) = oracle.run(false, |d| d.bind(qubit.index, loc)) {
+            if let Err(e) = device.bind(qubit.index, loc) {
                 fail(format!("@bind rejected: {e}"));
             }
         }
         Annotation::Transfer { slm_index, aod } => {
             report.motions_checked += 1;
-            if let Err(e) = oracle.run(true, |d| d.transfer(*slm_index, *aod)) {
+            if let Err(e) = device.transfer(*slm_index, *aod) {
                 fail(format!("@transfer rejected: {e}"));
             }
         }
@@ -505,10 +314,10 @@ fn apply_setup_or_motion(
             offset,
         } => {
             report.motions_checked += 1;
-            let result = oracle.run(true, |d| match axis {
-                ShuttleAxis::Row => d.shuttle_row(*index, *offset),
-                ShuttleAxis::Column => d.shuttle_column(*index, *offset),
-            });
+            let result = match axis {
+                ShuttleAxis::Row => device.shuttle_row(*index, *offset),
+                ShuttleAxis::Column => device.shuttle_column(*index, *offset),
+            };
             if let Err(e) = result {
                 fail(format!("@shuttle rejected: {e}"));
             }
@@ -526,13 +335,13 @@ fn apply_setup_or_motion(
 /// the annotated statement plus immediately following unannotated
 /// entangling statements. Returns how many extra statements were consumed.
 fn check_rydberg(
-    oracle: &mut DeviceOracle,
+    device: &FpqaDevice,
     statements: &[Statement],
     idx: usize,
     reconstructed: &mut Circuit,
     report: &mut CheckReport,
 ) -> usize {
-    let groups = match oracle.rydberg_groups() {
+    let groups = match device.rydberg_groups() {
         Ok(g) => g,
         Err(e) => {
             report.errors.push(CheckError {
@@ -876,134 +685,6 @@ mod tests {
         let report = check(&out.program, &FpqaParams::default(), Some(&reference));
         assert!(!report.passed());
         assert!(report.unitary_checked);
-    }
-
-    fn report_signature(r: &CheckReport) -> (Vec<CheckError>, usize, usize, bool, usize) {
-        (
-            r.errors.clone(),
-            r.pulses_checked,
-            r.motions_checked,
-            r.unitary_checked,
-            r.reconstructed.as_ref().map_or(0, |c| c.gate_count()),
-        )
-    }
-
-    #[test]
-    fn cached_recheck_is_differentially_identical() {
-        let (f, out) = compile(false);
-        let reference = weaver_sat::qaoa::build_circuit(&f, &QaoaParams::default(), false);
-        let params = FpqaParams::default();
-        let cache = crate::cache::CacheHandle::new();
-        let uncached = check(&out.program, &params, Some(&reference));
-        let cold = check_with_cache(&out.program, &params, Some(&reference), Some(&cache));
-        let warm = check_with_cache(&out.program, &params, Some(&reference), Some(&cache));
-        assert_eq!(report_signature(&uncached), report_signature(&cold));
-        assert_eq!(report_signature(&uncached), report_signature(&warm));
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.checker_hits, stats.checker_misses),
-            (1, 1),
-            "second run must replay the recorded trace"
-        );
-    }
-
-    #[test]
-    fn cached_recheck_still_detects_corruption() {
-        // Warm the cache with the clean program, then corrupt a shuttle:
-        // the annotation stream changes, so the memo must miss and the
-        // live re-simulation must flag the same errors as the uncached path.
-        let (f, out) = compile(false);
-        let params = FpqaParams::default();
-        let cache = crate::cache::CacheHandle::new();
-        let reference = weaver_sat::qaoa::build_circuit(&f, &QaoaParams::default(), false);
-        check_with_cache(&out.program, &params, Some(&reference), Some(&cache));
-
-        let mut program = out.program.clone();
-        let mut corrupted = false;
-        for stmt in &mut program.statements {
-            if let Statement::GateCall { annotations, .. } = stmt {
-                for a in annotations {
-                    if let Annotation::Shuttle { offset, .. } = a {
-                        *offset += 13.0;
-                        corrupted = true;
-                        break;
-                    }
-                }
-            }
-            if corrupted {
-                break;
-            }
-        }
-        assert!(corrupted, "no shuttle annotation found");
-        let cached = check_with_cache(&program, &params, Some(&reference), Some(&cache));
-        let uncached = check(&program, &params, Some(&reference));
-        assert!(!cached.passed());
-        assert_eq!(report_signature(&cached), report_signature(&uncached));
-        assert_eq!(cache.stats().checker_hits, 0);
-    }
-
-    #[test]
-    fn trace_key_separates_params_and_annotations() {
-        let (_, out) = compile(false);
-        let default_key = device_trace_key(&out.program, &FpqaParams::default());
-        let other_params = FpqaParams::default().with_ccz_fidelity(0.91);
-        assert_ne!(default_key, device_trace_key(&out.program, &other_params));
-        let mut program = out.program.clone();
-        for stmt in &mut program.statements {
-            if let Statement::GateCall { annotations, .. } = stmt {
-                if let Some(Annotation::Shuttle { offset, .. }) = annotations
-                    .iter_mut()
-                    .find(|a| matches!(a, Annotation::Shuttle { .. }))
-                {
-                    *offset += 1e-9;
-                    break;
-                }
-            }
-        }
-        assert_ne!(
-            default_key,
-            device_trace_key(&program, &FpqaParams::default()),
-            "any annotation perturbation must change the key"
-        );
-    }
-
-    #[test]
-    fn trace_key_encodes_annotation_placement() {
-        // A standalone pulse annotation records no device event while a
-        // gate-attached one does, so moving an annotation between the two
-        // placements must change the key (same flat annotation sequence) —
-        // otherwise a replay would desync. Exercise both key inequality and
-        // the replay path itself with a shared cache.
-        let (_, out) = compile(false);
-        let params = FpqaParams::default();
-        let mut detached = out.program.clone();
-        let mut moved = None;
-        for (i, stmt) in detached.statements.iter_mut().enumerate() {
-            if let Statement::GateCall { annotations, .. } = stmt {
-                if let Some(pos) = annotations
-                    .iter()
-                    .position(|a| matches!(a, Annotation::Rydberg))
-                {
-                    moved = Some((i, annotations.remove(pos)));
-                    break;
-                }
-            }
-        }
-        let (at, annotation) = moved.expect("a rydberg annotation to move");
-        detached
-            .statements
-            .insert(at, Statement::Standalone(annotation));
-        assert_ne!(
-            device_trace_key(&out.program, &params),
-            device_trace_key(&detached, &params)
-        );
-        let cache = crate::cache::CacheHandle::new();
-        check_with_cache(&detached, &params, None, Some(&cache));
-        // With the clean program's placement the memo must miss (fresh
-        // live simulation), not replay the standalone variant's trace.
-        let report = check_with_cache(&out.program, &params, None, Some(&cache));
-        assert!(report.passed(), "{:?}", report.errors);
-        assert_eq!(cache.stats().checker_hits, 0);
     }
 
     #[test]

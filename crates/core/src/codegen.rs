@@ -16,7 +16,6 @@
 //! 4. motion between configurations (triangle → pair, guests home, …),
 //! 5. closing Raman segments, atoms return home.
 
-use crate::cache::{CacheHandle, Digest, Fingerprint};
 use crate::coloring::{color_clauses, ClauseColoring};
 use crate::compress::{append_compressed_clause, assign_roles};
 use crate::plan::{batch_moves, safe_shuttle_order, AtomMove, SiteLayout};
@@ -87,26 +86,13 @@ pub fn compile_formula(
     params: &FpqaParams,
     options: &CodegenOptions,
 ) -> CompiledFpqa {
-    compile_formula_cached(formula, params, options, None)
-}
-
-/// Like [`compile_formula`], but consulting `cache` for memoized per-clause
-/// execution plans (shared across QAOA layers and across batch jobs that
-/// repeat a clause under the same options and layout). The emitted program
-/// is byte-identical with and without a cache.
-pub fn compile_formula_cached(
-    formula: &Formula,
-    params: &FpqaParams,
-    options: &CodegenOptions,
-    cache: Option<&CacheHandle>,
-) -> CompiledFpqa {
     let coloring = select_coloring(formula, options);
-    compile_formula_with_coloring_cached(formula, params, options, coloring, cache)
+    compile_formula_with_coloring(formula, params, options, coloring)
 }
 
 /// The coloring policy the options select: DSatur, or first-fit greedy for
-/// the ablation. Single source of truth shared by [`compile_formula_cached`]
-/// and the backend pass pipeline.
+/// the ablation. Single source of truth shared by [`compile_formula`] and
+/// the backend pass pipeline.
 pub(crate) fn select_coloring(formula: &Formula, options: &CodegenOptions) -> ClauseColoring {
     if options.dsatur {
         color_clauses(formula)
@@ -130,18 +116,7 @@ pub fn compile_formula_with_coloring(
     options: &CodegenOptions,
     coloring: ClauseColoring,
 ) -> CompiledFpqa {
-    compile_formula_with_coloring_cached(formula, params, options, coloring, None)
-}
-
-/// [`compile_formula_with_coloring`] with an optional clause-plan cache.
-pub fn compile_formula_with_coloring_cached(
-    formula: &Formula,
-    params: &FpqaParams,
-    options: &CodegenOptions,
-    coloring: ClauseColoring,
-    cache: Option<&CacheHandle>,
-) -> CompiledFpqa {
-    let mut emitter = Emitter::new(formula, params, options, coloring.clone(), cache);
+    let mut emitter = Emitter::new(formula, params, options, coloring.clone());
     emitter.emit_program();
     CompiledFpqa {
         program: emitter.program,
@@ -162,37 +137,10 @@ struct ClauseExec {
     configs: Vec<Vec<(usize, Point)>>,
 }
 
-/// The memoizable part of a [`ClauseExec`] — everything derived purely from
-/// (clause literals, γ, compression flag, site layout), shared through a
-/// [`CacheHandle`] across QAOA layers and across batch jobs repeating a
-/// clause under identical options.
-pub(crate) struct ClausePlan {
-    segments: Vec<Vec<Instruction>>,
-    entanglers: Vec<Instruction>,
-    configs: Vec<Vec<(usize, Point)>>,
-}
-
-/// Content key of a clause plan.
-fn clause_plan_key(clause: &Clause, gamma: f64, compression: bool, layout: &SiteLayout) -> Digest {
-    let mut fp = Fingerprint::new();
-    fp.tag(0xCE).str(crate::cache::COMPILER_VERSION);
-    fp.usize(clause.lits().len());
-    for lit in clause.lits() {
-        fp.u64(lit.to_dimacs() as u64);
-    }
-    fp.f64(gamma)
-        .bool(compression)
-        .f64(layout.home_spacing)
-        .f64(layout.interaction_distance)
-        .f64(layout.pair_lift);
-    fp.digest()
-}
-
 struct Emitter<'a> {
     formula: &'a Formula,
     params: &'a FpqaParams,
     options: &'a CodegenOptions,
-    cache: Option<&'a CacheHandle>,
     coloring: ClauseColoring,
     layout: SiteLayout,
     device: FpqaDevice,
@@ -215,13 +163,11 @@ impl<'a> Emitter<'a> {
         params: &'a FpqaParams,
         options: &'a CodegenOptions,
         coloring: ClauseColoring,
-        cache: Option<&'a CacheHandle>,
     ) -> Self {
         Emitter {
             formula,
             params,
             options,
-            cache,
             coloring,
             layout: options.layout,
             device: FpqaDevice::new(params.clone()),
@@ -362,45 +308,30 @@ impl<'a> Emitter<'a> {
 
     fn emit_cost_evolution(&mut self, gamma: f64) {
         for color in 0..self.coloring.num_colors {
-            let group_len = self.coloring.clauses_of_color(color).len();
-            let execs: Vec<ClauseExec> = (0..group_len)
-                .map(|k| {
-                    // Copy the clause index out so the coloring borrow ends
-                    // before the mutable plan_clause call.
-                    let ci = self.coloring.clauses_of_color(color)[k];
+            let execs: Vec<ClauseExec> = self
+                .coloring
+                .clauses_of_color(color)
+                .iter()
+                .map(|&ci| {
                     // Weighted MAX-SAT: a clause of effective weight w
                     // evolves under w·(its satisfaction polynomial), and the
                     // fragment builders are linear in gamma — so lowering at
-                    // gamma·w is exact. Weight folds into the memo key via
-                    // gamma, and weight-1 clauses lower byte-identically to
-                    // the unweighted path (gamma · 1 ≡ gamma).
+                    // gamma·w is exact, and weight-1 clauses lower
+                    // byte-identically to the unweighted path
+                    // (gamma · 1 ≡ gamma).
                     let w = self.formula.effective_weight(ci);
                     let clause_gamma = if w == 1 { gamma } else { gamma * w as f64 };
-                    self.plan_clause(&self.formula.clauses()[ci].clone(), clause_gamma)
+                    self.plan_clause(&self.formula.clauses()[ci], clause_gamma)
                 })
                 .collect();
             self.emit_color(&execs);
         }
     }
 
-    /// Builds the per-clause execution plan from its fragment circuit,
-    /// consulting the clause-plan memo first.
-    fn plan_clause(&mut self, clause: &Clause, gamma: f64) -> ClauseExec {
+    /// Builds the per-clause execution plan from its fragment circuit.
+    fn plan_clause(&self, clause: &Clause, gamma: f64) -> ClauseExec {
         let mut vars: Vec<usize> = clause.vars().collect();
         vars.sort_unstable();
-        let key = self
-            .cache
-            .map(|_| clause_plan_key(clause, gamma, self.options.compression, &self.layout));
-        if let (Some(cache), Some(key)) = (self.cache, &key) {
-            if let Some(plan) = cache.clause_plan(key) {
-                return ClauseExec {
-                    vars,
-                    segments: plan.segments.clone(),
-                    entanglers: plan.entanglers.clone(),
-                    configs: plan.configs.clone(),
-                };
-            }
-        }
         let n = self.formula.num_vars();
         let mut fragment = Circuit::new(n);
         if self.options.compression {
@@ -438,16 +369,6 @@ impl<'a> Emitter<'a> {
         }
 
         let configs = self.clause_configs(clause, &entanglers);
-        if let (Some(cache), Some(key)) = (self.cache, key) {
-            cache.store_clause_plan(
-                key,
-                ClausePlan {
-                    segments: segments.clone(),
-                    entanglers: entanglers.clone(),
-                    configs: configs.clone(),
-                },
-            );
-        }
         ClauseExec {
             vars,
             segments,
@@ -908,24 +829,6 @@ mod tests {
             .filter(|o| matches!(o, PulseOp::Rydberg { .. }))
             .count();
         assert_eq!(rydbergs, 4 * out.coloring.num_colors);
-    }
-
-    #[test]
-    fn cached_compile_is_byte_identical() {
-        let f = generator::instance(20, 1);
-        let opts = options(true);
-        let params = FpqaParams::default();
-        let cache = crate::cache::CacheHandle::new();
-        let plain = compile_formula(&f, &params, &opts);
-        let cold = compile_formula_cached(&f, &params, &opts, Some(&cache));
-        let warm = compile_formula_cached(&f, &params, &opts, Some(&cache));
-        let text = |o: &CompiledFpqa| weaver_wqasm::print(&o.program);
-        assert_eq!(text(&plain), text(&cold));
-        assert_eq!(text(&plain), text(&warm));
-        assert_eq!(plain.steps, warm.steps);
-        let stats = cache.stats();
-        assert_eq!(stats.plan_misses, f.num_clauses() as u64);
-        assert_eq!(stats.plan_hits, f.num_clauses() as u64);
     }
 
     #[test]

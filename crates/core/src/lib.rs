@@ -7,8 +7,7 @@
 //! * [`frontend`] — the mirror-image [`Frontend`] trait and
 //!   [`FrontendRegistry`]: pluggable workload ingestion (DIMACS/WCNF,
 //!   max-cut edge lists, direct wQasm) into the unified [`Workload`] IR,
-//! * [`cache`] — content hashing (BLAKE2s) and the shared compilation
-//!   memo store threaded through codegen and the checker,
+//! * [`cache`] — content hashing (BLAKE2s) for artifact keys,
 //! * [`coloring`] — clause coloring via DSatur (§5.2, Algorithm 1),
 //! * [`plan`] — site geometry and parallel shuttle batching (§5.3,
 //!   Algorithm 2),
@@ -22,17 +21,17 @@
 //! Compile a benchmark down both paths and verify the FPQA output:
 //!
 //! ```
-//! use weaver_core::Weaver;
+//! use weaver_core::{Weaver, Workload};
 //! use weaver_sat::generator;
-//! use weaver_superconducting::CouplingMap;
 //!
-//! let formula = generator::instance(20, 1);
+//! let workload = Workload::MaxSat(generator::instance(20, 1));
 //! let weaver = Weaver::new();
 //!
-//! let fpqa = weaver.compile_fpqa(&formula);
-//! assert!(weaver.verify(&fpqa, &formula).passed());
+//! let fpqa = weaver.compile_workload("fpqa", &workload).unwrap();
+//! assert!(weaver.verify(&fpqa, &workload).unwrap().passed());
 //!
-//! let sc = weaver.compile_superconducting(&formula, &CouplingMap::ibm_washington());
+//! // SABRE onto the 127-qubit IBM Washington map.
+//! let sc = weaver.compile_workload("superconducting", &workload).unwrap();
 //! assert!(fpqa.metrics.eps > sc.metrics.eps);
 //! ```
 
@@ -51,10 +50,10 @@ pub mod plan;
 pub use backend::{
     Backend, BackendError, BackendInfo, BackendRegistry, CompileOutput, CompiledArtifact, PassStat,
 };
-pub use cache::{CacheHandle, CacheStats, Digest, Fingerprint};
-pub use checker::{check, check_with_cache, CheckReport};
+pub use cache::{Digest, Fingerprint};
+pub use checker::{check, CheckReport};
 pub use codegen::{CodegenOptions, CompiledFpqa};
 pub use frontend::{
     Frontend, FrontendError, FrontendInfo, FrontendRegistry, Workload, WorkloadKind,
 };
-pub use pipeline::{FpqaResult, Metrics, SuperconductingResult, Weaver};
+pub use pipeline::{Metrics, Weaver};

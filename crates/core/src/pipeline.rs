@@ -7,22 +7,17 @@
 //! annotated wQasm plus a pulse schedule (verified by the wChecker), the
 //! superconducting target routes through the SABRE transpiler onto a
 //! coupling map, and the simulator target executes the native circuit on
-//! the ideal state-vector simulator. [`Weaver::compile_target`] reaches any
-//! of them by name; [`Weaver::compile_fpqa`] and
-//! [`Weaver::compile_superconducting`] remain as thin shims over the same
-//! trait-dispatched path.
+//! the ideal state-vector simulator. [`Weaver::compile_target`] and
+//! [`Weaver::compile_workload`] reach any of them by name, and
+//! [`Weaver::verify`] runs the producing target's checker.
 
-use crate::backend::{
-    Backend as _, BackendError, BackendRegistry, CompileOutput, CompiledArtifact, FpqaBackend,
-    SuperconductingBackend,
-};
-use crate::checker::{self, CheckReport};
-use crate::codegen::{CodegenOptions, CompiledFpqa};
-use weaver_circuit::{native, Circuit, NativeBasis};
+use crate::backend::{BackendError, BackendRegistry, CompileOutput};
+use crate::checker::CheckReport;
+use crate::codegen::CodegenOptions;
+use crate::frontend::Workload;
 use weaver_fpqa::{FpqaParams, PulseSchedule};
-use weaver_sat::{qaoa, Formula};
-use weaver_superconducting::{CouplingMap, SuperconductingParams, TranspileResult};
-use weaver_wqasm::Program;
+use weaver_sat::Formula;
+use weaver_superconducting::{SuperconductingParams, TranspileResult};
 
 /// The paper's evaluation metrics for one compilation (§8.1).
 #[derive(Clone, Debug, PartialEq)]
@@ -75,39 +70,19 @@ impl Metrics {
     }
 }
 
-/// Result of the FPQA path.
-#[derive(Clone, Debug)]
-pub struct FpqaResult {
-    /// The compiled program, schedule, and logical circuit.
-    pub compiled: CompiledFpqa,
-    /// Evaluation metrics.
-    pub metrics: Metrics,
-}
-
-/// Result of the superconducting path.
-#[derive(Clone, Debug)]
-pub struct SuperconductingResult {
-    /// The routed physical circuit.
-    pub circuit: Circuit,
-    /// SWAPs inserted by routing.
-    pub swap_count: usize,
-    /// Evaluation metrics.
-    pub metrics: Metrics,
-}
-
 /// The Weaver retargetable compiler.
 ///
 /// # Examples
 ///
 /// ```
-/// use weaver_core::pipeline::Weaver;
+/// use weaver_core::{Weaver, Workload};
 /// use weaver_sat::generator;
 ///
-/// let formula = generator::instance(20, 1);
+/// let workload = Workload::MaxSat(generator::instance(20, 1));
 /// let weaver = Weaver::new();
-/// let fpqa = weaver.compile_fpqa(&formula);
+/// let fpqa = weaver.compile_workload("fpqa", &workload).unwrap();
 /// assert!(fpqa.metrics.eps > 0.0);
-/// let report = weaver.verify(&fpqa, &formula);
+/// let report = weaver.verify(&fpqa, &workload).expect("fpqa has a checker");
 /// assert!(report.passed(), "{:?}", report.errors);
 /// ```
 #[derive(Clone, Debug)]
@@ -175,45 +150,12 @@ impl Weaver {
         name: &str,
         formula: &Formula,
     ) -> Result<CompileOutput, BackendError> {
-        self.compile_target_cached(name, formula, None)
-    }
-
-    /// Like [`Weaver::compile_target`], threading a shared compilation
-    /// cache through the backend's passes. Output is byte-identical with
-    /// and without a cache; only [`Metrics::compilation_seconds`] may
-    /// differ.
-    pub fn compile_target_cached(
-        &self,
-        name: &str,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> Result<CompileOutput, BackendError> {
-        let backend = BackendRegistry::global().resolve(name)?;
-        backend.compile(self, formula, cache)
-    }
-
-    /// Runs the producing backend's verify hook on a [`CompileOutput`]
-    /// (dispatched by [`CompileOutput::backend`] through the global
-    /// registry): `Some(report)` on the FPQA path (the wChecker), `None`
-    /// for targets without a checker. Parameterized `sc:*` devices are
-    /// deliberately *not* re-minted here: the only mintable backend kind
-    /// ([`SuperconductingBackend`]) has no verify hook, and minting one
-    /// eagerly rebuilds the coupling map's all-pairs distance table just
-    /// to call the default `None`. For a backend living only in a local
-    /// registry, call [`crate::backend::Backend::verify`] on it directly.
-    pub fn verify_output(
-        &self,
-        output: &CompileOutput,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> Option<CheckReport> {
         BackendRegistry::global()
-            .get(&output.backend)
-            .and_then(|backend| backend.verify(self, output, formula, cache))
+            .resolve(name)?
+            .compile(self, formula)
     }
 
-    /// Compiles any frontend-produced [`Workload`](crate::frontend::Workload)
-    /// for the target resolved
+    /// Compiles any frontend-produced [`Workload`] for the target resolved
     /// from `name` by the [global registry](BackendRegistry::global).
     /// Formula workloads take exactly the [`Weaver::compile_target`] path;
     /// circuit workloads dispatch through
@@ -245,140 +187,55 @@ impl Weaver {
     pub fn compile_workload(
         &self,
         name: &str,
-        workload: &crate::frontend::Workload,
+        workload: &Workload,
     ) -> Result<CompileOutput, BackendError> {
-        self.compile_workload_cached(name, workload, None)
+        BackendRegistry::global()
+            .resolve(name)?
+            .compile_workload(self, workload)
     }
 
-    /// Like [`Weaver::compile_workload`], threading a shared compilation
-    /// cache through the backend's passes.
+    /// [`Weaver::compile_workload`]; the handle is ignored.
+    #[deprecated(note = "the handle is ignored; call `Weaver::compile_workload`")]
     pub fn compile_workload_cached(
         &self,
         name: &str,
-        workload: &crate::frontend::Workload,
-        cache: Option<&crate::cache::CacheHandle>,
+        workload: &Workload,
+        _cache: Option<&crate::cache::CacheHandle>,
     ) -> Result<CompileOutput, BackendError> {
-        let backend = BackendRegistry::global().resolve(name)?;
-        backend.compile_workload(self, workload, cache)
+        self.compile_workload(name, workload)
     }
 
-    /// Workload-aware twin of [`Weaver::verify_output`]: formula workloads
-    /// run the producing backend's verify hook (the wChecker on the FPQA
-    /// path), circuit workloads have no formula-level checker and return
-    /// `None`.
+    /// Runs the producing backend's verify hook on a [`CompileOutput`]
+    /// (dispatched by [`CompileOutput::backend`] through the global
+    /// registry): `Some(report)` for a formula workload compiled for the
+    /// FPQA path (the wChecker, which compares against the QAOA reference
+    /// circuit when the register is small enough), `None` for circuit
+    /// workloads, which have no formula-level checker, and for targets
+    /// without a checker. Parameterized `sc:*` devices are deliberately
+    /// *not* re-minted here: the only mintable backend kind
+    /// ([`SuperconductingBackend`](crate::backend::SuperconductingBackend))
+    /// has no verify hook, and minting one eagerly rebuilds the coupling
+    /// map's all-pairs distance table just to call the default `None`. For a
+    /// backend living only in a local registry, call
+    /// [`crate::backend::Backend::verify`] on it directly.
+    pub fn verify(&self, output: &CompileOutput, workload: &Workload) -> Option<CheckReport> {
+        match workload {
+            Workload::MaxSat(formula) => BackendRegistry::global()
+                .get(&output.backend)
+                .and_then(|backend| backend.verify(self, output, formula)),
+            Workload::Circuit(_) => None,
+        }
+    }
+
+    /// [`Weaver::verify`]; the handle is ignored.
+    #[deprecated(note = "the handle is ignored; call `Weaver::verify`")]
     pub fn verify_workload(
         &self,
         output: &CompileOutput,
-        workload: &crate::frontend::Workload,
-        cache: Option<&crate::cache::CacheHandle>,
+        workload: &Workload,
+        _cache: Option<&crate::cache::CacheHandle>,
     ) -> Option<CheckReport> {
-        match workload {
-            crate::frontend::Workload::MaxSat(formula) => {
-                self.verify_output(output, formula, cache)
-            }
-            crate::frontend::Workload::Circuit(_) => None,
-        }
-    }
-
-    /// Compiles a Max-3SAT formula down the FPQA path (wOptimizer). Thin
-    /// shim over the trait-dispatched [`FpqaBackend`]; output is
-    /// byte-identical to pre-registry releases.
-    pub fn compile_fpqa(&self, formula: &Formula) -> FpqaResult {
-        self.compile_fpqa_cached(formula, None)
-    }
-
-    /// Like [`Weaver::compile_fpqa`], but threading a shared compilation
-    /// cache through codegen (memoized clause plans). Output is
-    /// byte-identical with and without a cache; only
-    /// [`Metrics::compilation_seconds`] may differ.
-    pub fn compile_fpqa_cached(
-        &self,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> FpqaResult {
-        let output = FpqaBackend
-            .compile(self, formula, cache)
-            .expect("the FPQA backend accepts any register");
-        match output.artifact {
-            CompiledArtifact::Fpqa(compiled) => FpqaResult {
-                compiled,
-                metrics: output.metrics,
-            },
-            _ => unreachable!("FpqaBackend emits FPQA artifacts"),
-        }
-    }
-
-    /// Compiles a Max-3SAT formula down the superconducting path (QAOA
-    /// lowering + SABRE transpilation onto `coupling`). Thin shim over the
-    /// trait-dispatched [`SuperconductingBackend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formula needs more qubits than the device offers.
-    pub fn compile_superconducting(
-        &self,
-        formula: &Formula,
-        coupling: &CouplingMap,
-    ) -> SuperconductingResult {
-        let output = SuperconductingBackend::with_coupling(coupling.clone())
-            .compile(self, formula, None)
-            .unwrap_or_else(|e| panic!("{e}"));
-        match output.artifact {
-            CompiledArtifact::Superconducting {
-                circuit,
-                swap_count,
-            } => SuperconductingResult {
-                circuit,
-                swap_count,
-                metrics: output.metrics,
-            },
-            _ => unreachable!("SuperconductingBackend emits routed circuits"),
-        }
-    }
-
-    /// Lowers an arbitrary circuit to the hardware-agnostic native basis
-    /// (`{U3, CZ}` + `CCZ` for the FPQA path) — paper Fig. 3, stage (a).
-    pub fn nativize(&self, circuit: &Circuit, fpqa: bool) -> Circuit {
-        let basis = if fpqa {
-            NativeBasis::U3CzCcz
-        } else {
-            NativeBasis::U3Cz
-        };
-        native::nativize(circuit, basis)
-    }
-
-    /// Runs the wChecker on an FPQA compilation result, comparing against
-    /// the QAOA reference circuit when the register is small enough.
-    pub fn verify(&self, result: &FpqaResult, formula: &Formula) -> CheckReport {
-        self.verify_cached(result, formula, None)
-    }
-
-    /// Like [`Weaver::verify`], but consulting a shared cache for memoized
-    /// per-annotation device traces: re-checking an unchanged program skips
-    /// the pulse re-simulation (see [`checker::check_with_cache`]).
-    pub fn verify_cached(
-        &self,
-        result: &FpqaResult,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> CheckReport {
-        self.verify_program(&result.compiled.program, formula, cache)
-    }
-
-    /// Runs the wChecker on any annotated wQasm program claiming to
-    /// implement `formula`'s QAOA circuit (the [`FpqaBackend`] verify hook).
-    pub(crate) fn verify_program(
-        &self,
-        program: &Program,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> CheckReport {
-        let reference = if formula.num_vars() <= weaver_simulator::UnitaryBuilder::MAX_QUBITS {
-            Some(qaoa::build_circuit(formula, &self.options.qaoa, false))
-        } else {
-            None
-        };
-        checker::check_with_cache(program, &self.fpqa_params, reference.as_ref(), cache)
+        self.verify(output, workload)
     }
 }
 
@@ -391,46 +248,80 @@ impl Default for Weaver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CompiledArtifact;
+    use crate::codegen::CompiledFpqa;
     use weaver_sat::generator;
+    use weaver_superconducting::CouplingMap;
+
+    fn fpqa(out: &CompileOutput) -> &CompiledFpqa {
+        out.artifact.as_fpqa().expect("an FPQA artifact")
+    }
 
     #[test]
     fn pipeline_types_are_send_and_sync() {
-        // The batch engine shares one `Weaver` per job and one cache
-        // handle across worker threads; losing these bounds (e.g. by
-        // introducing hidden `Rc`/`RefCell` state) must fail to compile.
+        // The batch engine shares one `Weaver` per job across worker
+        // threads; losing these bounds (e.g. by introducing hidden
+        // `Rc`/`RefCell` state) must fail to compile.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Weaver>();
-        assert_send_sync::<FpqaResult>();
-        assert_send_sync::<SuperconductingResult>();
-        assert_send_sync::<crate::cache::CacheHandle>();
+        assert_send_sync::<CompileOutput>();
         assert_send_sync::<crate::codegen::CompiledFpqa>();
         assert_send_sync::<crate::checker::CheckReport>();
     }
 
     #[test]
     fn fpqa_path_end_to_end() {
-        let f = generator::instance(20, 1);
+        let workload = Workload::MaxSat(generator::instance(20, 1));
         let weaver = Weaver::new();
-        let out = weaver.compile_fpqa(&f);
+        let out = weaver.compile_workload("fpqa", &workload).unwrap();
         assert!(out.metrics.eps > 0.0 && out.metrics.eps <= 1.0);
         assert!(out.metrics.execution_micros > 0.0);
         assert!(out.metrics.pulses > 0);
         assert!(out.metrics.motion_ops > 0);
-        let report = weaver.verify(&out, &f);
+        let report = weaver.verify(&out, &workload).expect("fpqa has a checker");
         assert!(report.passed(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn verify_checks_fpqa_formulas_only() {
+        let weaver = Weaver::new();
+        let formula = Workload::MaxSat(generator::instance(8, 1));
+        let fpqa = weaver.compile_workload("fpqa", &formula).unwrap();
+        let report = weaver.verify(&fpqa, &formula).expect("fpqa has a checker");
+        assert!(report.passed(), "{:?}", report.errors);
+        assert!(report.unitary_checked);
+        // Targets without a checker have no verdict.
+        for target in ["sc:eagle", "simulator"] {
+            let out = weaver.compile_workload(target, &formula).unwrap();
+            assert!(weaver.verify(&out, &formula).is_none(), "{target}");
+        }
+        // Circuit workloads have no formula-level checker.
+        let circuit = crate::FrontendRegistry::global()
+            .get("wqasm")
+            .unwrap()
+            .parse("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n")
+            .unwrap();
+        let out = weaver.compile_workload("simulator", &circuit).unwrap();
+        assert!(weaver.verify(&out, &circuit).is_none());
     }
 
     #[test]
     fn superconducting_path_end_to_end() {
         let f = generator::instance(20, 2);
         let weaver = Weaver::new();
-        let coupling = CouplingMap::ibm_washington();
-        let out = weaver.compile_superconducting(&f, &coupling);
-        assert!(out.swap_count > 0, "QAOA on heavy-hex must route");
+        let out = weaver.compile_target("superconducting", &f).unwrap();
+        let CompiledArtifact::Superconducting {
+            circuit,
+            swap_count,
+        } = &out.artifact
+        else {
+            panic!("a routed circuit expected");
+        };
+        assert!(*swap_count > 0, "QAOA on heavy-hex must route");
         assert!(out.metrics.eps >= 0.0 && out.metrics.eps <= 1.0);
         assert!(weaver_superconducting::sabre::respects_coupling(
-            &out.circuit,
-            &coupling
+            circuit,
+            &CouplingMap::ibm_washington()
         ));
     }
 
@@ -438,20 +329,20 @@ mod tests {
     fn low_ccz_fidelity_disables_compression() {
         let f = generator::instance(20, 3);
         let weaver = Weaver::new().with_fpqa_params(FpqaParams::default().with_ccz_fidelity(0.90));
-        let out = weaver.compile_fpqa(&f);
+        let out = weaver.compile_target("fpqa", &f).unwrap();
         // Ladder mode: no CCZ pulses at all, and far more Rydberg slots
         // (≈10 per color instead of 4) plus more atom motion.
-        let baseline = Weaver::new().compile_fpqa(&f);
-        let rydbergs = |r: &FpqaResult| {
-            r.compiled
+        let baseline = Weaver::new().compile_target("fpqa", &f).unwrap();
+        let rydbergs = |r: &CompileOutput| {
+            fpqa(r)
                 .schedule
                 .ops()
                 .iter()
                 .filter(|o| matches!(o, weaver_fpqa::PulseOp::Rydberg { .. }))
                 .count()
         };
-        let has_ccz = |r: &FpqaResult| {
-            r.compiled.schedule.ops().iter().any(|o| {
+        let has_ccz = |r: &CompileOutput| {
+            fpqa(r).schedule.ops().iter().any(|o| {
                 matches!(o, weaver_fpqa::PulseOp::Rydberg { groups }
                     if groups.iter().any(|g| g.len() == 3))
             })
@@ -468,8 +359,8 @@ mod tests {
         // superconducting baseline already at 20 variables.
         let f = generator::instance(20, 1);
         let weaver = Weaver::new();
-        let fpqa = weaver.compile_fpqa(&f);
-        let sc = weaver.compile_superconducting(&f, &CouplingMap::ibm_washington());
+        let fpqa = weaver.compile_target("fpqa", &f).unwrap();
+        let sc = weaver.compile_target("superconducting", &f).unwrap();
         assert!(
             fpqa.metrics.eps > sc.metrics.eps,
             "FPQA {} ≤ SC {}",

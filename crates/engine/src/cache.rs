@@ -39,9 +39,7 @@
 //! only artifacts still parked or in flight, and those recompile on the
 //! next run; every committed artifact still recovers byte-identical.
 //!
-//! The cache also owns the process-wide [`CacheHandle`] threaded through
-//! `weaver-core`, so all batch jobs share memoized clause plans and checker
-//! device traces.
+//! This is the only cache: compiles and checks below it run from scratch.
 
 use crate::engine::panic_message;
 use crate::job::Artifact;
@@ -55,7 +53,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use weaver_core::cache::{CacheHandle, Digest};
+use weaver_core::cache::Digest;
 use weaver_core::Metrics;
 use weaver_obs::{log, metrics, span, Counter};
 
@@ -328,7 +326,6 @@ pub struct ArtifactCache {
     disk: Option<Arc<DiskTier>>,
     committer: Option<JoinHandle<()>>,
     clock: AtomicU64,
-    core: CacheHandle,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -379,7 +376,6 @@ impl ArtifactCache {
             disk,
             committer,
             clock: AtomicU64::new(0),
-            core: CacheHandle::new(),
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -389,9 +385,10 @@ impl ArtifactCache {
         })
     }
 
-    /// The shared `weaver-core` memo handle (clause plans, checker traces).
-    pub fn core_handle(&self) -> &CacheHandle {
-        &self.core
+    /// A handle for the two deprecated `Weaver` forwards, which ignore it.
+    #[deprecated(note = "the handle is unused; call `Weaver::compile_workload` / `Weaver::verify`")]
+    pub fn core_handle(&self) -> &weaver_core::cache::CacheHandle {
+        &weaver_core::cache::CacheHandle
     }
 
     /// Looks up an artifact: memory tier first, then the entries waiting

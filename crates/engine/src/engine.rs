@@ -11,7 +11,6 @@ use crate::pool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-use weaver_core::cache::CacheStats;
 use weaver_core::{FrontendRegistry, Workload};
 use weaver_obs::{log, metrics, span, Counter, Histogram};
 
@@ -48,8 +47,6 @@ pub struct BatchReport {
     pub workers: usize,
     /// Artifact-cache tier counters (cumulative over the engine's life).
     pub tier_stats: CacheTierStats,
-    /// `weaver-core` memo counters (clause plans, checker traces).
-    pub core_stats: CacheStats,
     /// Why the disk tier was disabled at engine construction, if it was
     /// (surfaced in the `batch` JSONL record as `disk_disabled`).
     pub disk_disabled: Option<String>,
@@ -106,12 +103,6 @@ impl BatchReport {
             .u64("recoveries", self.tier_stats.recoveries)
             .u64("buffer_evictions", self.tier_stats.buffer_evictions)
             .finish();
-        let core = JsonObject::new()
-            .u64("checker_hits", self.core_stats.checker_hits)
-            .u64("checker_misses", self.core_stats.checker_misses)
-            .u64("plan_hits", self.core_stats.plan_hits)
-            .u64("plan_misses", self.core_stats.plan_misses)
-            .finish();
         let mut record = JsonObject::new()
             .str("kind", "batch")
             .u64("jobs", self.results.len() as u64)
@@ -121,8 +112,7 @@ impl BatchReport {
             .u64("cache_hits", self.cache_hits() as u64)
             .f64("wall_seconds", self.wall_seconds)
             .f64("jobs_per_sec", self.jobs_per_sec())
-            .raw("artifact_cache", &tiers)
-            .raw("core_cache", &core);
+            .raw("artifact_cache", &tiers);
         if let Some(reason) = &self.disk_disabled {
             record = record
                 .bool("disk_disabled", true)
@@ -328,7 +318,6 @@ impl Engine {
             wall_seconds: start.elapsed().as_secs_f64(),
             workers,
             tier_stats: self.cache.stats(),
-            core_stats: self.cache.core_handle().stats(),
             disk_disabled: self.disk_disabled.clone(),
         }
     }
@@ -387,13 +376,7 @@ impl Engine {
         }
 
         let compile_start = Instant::now();
-        let compiled = catch_unwind(AssertUnwindSafe(|| {
-            compile_job(
-                &job,
-                &workload,
-                self.config.use_cache.then(|| self.cache.core_handle()),
-            )
-        }));
+        let compiled = catch_unwind(AssertUnwindSafe(|| compile_job(&job, &workload)));
         let artifact = match compiled {
             Ok(Ok((artifact, check_seconds))) => {
                 timings.check_seconds = check_seconds;
@@ -487,14 +470,10 @@ fn load_workload(source: &JobSource, frontend: Option<&str>) -> Result<Workload,
 /// [`BackendRegistry`], and the compiler comes from
 /// [`JobOptions::weaver`](crate::JobOptions::weaver), as in `weaverc`'s
 /// single-shot path, so batch output is byte-identical to sequential runs.
-fn compile_job(
-    job: &CompileJob,
-    workload: &Workload,
-    core_cache: Option<&weaver_core::cache::CacheHandle>,
-) -> Result<(Artifact, f64), JobError> {
+fn compile_job(job: &CompileJob, workload: &Workload) -> Result<(Artifact, f64), JobError> {
     let weaver = job.options.weaver();
     let output = weaver
-        .compile_workload_cached(job.target.name(), workload, core_cache)
+        .compile_workload(job.target.name(), workload)
         .map_err(|e| JobError {
             kind: match e.kind {
                 weaver_core::backend::BackendErrorKind::UnsupportedWorkload => {
@@ -506,7 +485,7 @@ fn compile_job(
         })?;
     let (check_passed, check_errors, check_seconds) = if job.options.check {
         let check_start = Instant::now();
-        match weaver.verify_workload(&output, workload, core_cache) {
+        match weaver.verify(&output, workload) {
             Some(report) => {
                 let seconds = check_start.elapsed().as_secs_f64();
                 let errors = report.errors.iter().map(|e| e.to_string()).collect();

@@ -7,26 +7,7 @@
 //! [`JsonValue::parse`], a small recursive-descent parser — the on-disk
 //! artifact tier uses its own framed text format and is unaffected.
 
-use std::fmt::Write;
-
-/// Escapes a string for a JSON string literal (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use weaver_obs::json_escape;
 
 /// Renders an `f64` as a JSON number (`null` for non-finite values).
 pub fn number(v: f64) -> String {
@@ -51,33 +32,38 @@ impl JsonObject {
 
     /// Adds a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields
-            .push(format!("\"{}\":\"{}\"", escape(key), escape(value)));
+        self.fields.push(format!(
+            "\"{}\":\"{}\"",
+            json_escape(key),
+            json_escape(value)
+        ));
         self
     }
 
     /// Adds a float field.
     pub fn f64(mut self, key: &str, value: f64) -> Self {
         self.fields
-            .push(format!("\"{}\":{}", escape(key), number(value)));
+            .push(format!("\"{}\":{}", json_escape(key), number(value)));
         self
     }
 
     /// Adds an integer field.
     pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.fields.push(format!("\"{}\":{value}", escape(key)));
+        self.fields
+            .push(format!("\"{}\":{value}", json_escape(key)));
         self
     }
 
     /// Adds a boolean field.
     pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.fields.push(format!("\"{}\":{value}", escape(key)));
+        self.fields
+            .push(format!("\"{}\":{value}", json_escape(key)));
         self
     }
 
     /// Adds a pre-rendered JSON value (object, array, `null`, …).
     pub fn raw(mut self, key: &str, json: &str) -> Self {
-        self.fields.push(format!("\"{}\":{json}", escape(key)));
+        self.fields.push(format!("\"{}\":{json}", json_escape(key)));
         self
     }
 
@@ -85,7 +71,7 @@ impl JsonObject {
     pub fn str_array(self, key: &str, values: &[String]) -> Self {
         let items: Vec<String> = values
             .iter()
-            .map(|v| format!("\"{}\"", escape(v)))
+            .map(|v| format!("\"{}\"", json_escape(v)))
             .collect();
         let array = format!("[{}]", items.join(","));
         self.raw(key, &array)
@@ -413,11 +399,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_control_and_quote_characters() {
-        assert_eq!(escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\te\\u0001");
-    }
 
     #[test]
     fn builds_ordered_objects() {

@@ -12,8 +12,7 @@
 //! * [`cache`] — the content-addressed [`ArtifactCache`]: an in-memory LRU
 //!   tier plus an optional on-disk tier, keyed by BLAKE2s-256 over the
 //!   canonical formula, target parameters, options, and compiler version;
-//!   it also owns the shared [`weaver_core::cache::CacheHandle`] so checker
-//!   re-runs reuse cached per-annotation device state,
+//!   it is the only cache, so a miss compiles (and checks) from scratch,
 //! * [`manifest`] — job discovery from a fixture directory or a manifest
 //!   file,
 //! * [`jsonl`] — structured JSONL result streaming for `crates/bench` and

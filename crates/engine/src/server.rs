@@ -1,9 +1,8 @@
 //! `weaverd` — the long-lived compile service.
 //!
 //! The batch engine compiles one suite per process; the server wraps the
-//! same [`Engine`] in a daemon so the in-memory LRU, the paged disk
-//! store's buffer pool, and the core memo caches stay hot across
-//! requests. Clients speak a length-prefixed JSON protocol over a Unix
+//! same [`Engine`] in a daemon so the artifact cache's in-memory LRU and
+//! the paged disk store's buffer pool stay hot across requests. Clients speak a length-prefixed JSON protocol over a Unix
 //! socket or TCP:
 //!
 //! ```text

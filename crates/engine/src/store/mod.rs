@@ -49,7 +49,7 @@ use fault::FaultState;
 use format::{PageScan, PageState, PageView};
 use pager::{BufferPool, PageFile};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use wal::{Wal, WalRecord};
@@ -387,7 +387,9 @@ pub struct Store {
     wal: Wal,
     pool: BufferPool,
     index: HashMap<Digest, Chain>,
-    free: Vec<u64>,
+    /// Reclaimable page ids. Allocation takes the lowest first (locality,
+    /// and deterministic layouts in tests).
+    free: BTreeSet<u64>,
     page_count: u64,
     next_lsn: u64,
     poisoned: bool,
@@ -518,7 +520,7 @@ impl Store {
                 None => report.dropped_chains += 1,
             }
         }
-        let free: Vec<u64> = (1..page_count).filter(|p| !claimed.contains(p)).collect();
+        let free: BTreeSet<u64> = (1..page_count).filter(|p| !claimed.contains(p)).collect();
 
         let metrics = StoreMetrics::new();
         metrics
@@ -534,7 +536,7 @@ impl Store {
             file,
             wal,
             index,
-            free: sorted_free(free),
+            free,
             page_count,
             next_lsn: max_lsn + 1,
             poisoned: false,
@@ -599,7 +601,7 @@ impl Store {
     fn allocate(&mut self, n: usize) -> Vec<u64> {
         let mut pages = Vec::with_capacity(n);
         for _ in 0..n {
-            match self.free.pop() {
+            match self.free.pop_first() {
                 Some(pid) => pages.push(pid),
                 None => {
                     pages.push(self.page_count);
@@ -973,9 +975,8 @@ impl Store {
     fn free_chain(&mut self, chain: &Chain) {
         for &pid in &chain.pages {
             self.pool.remove(pid);
-            self.free.push(pid);
+            self.free.insert(pid);
         }
-        self.free = sorted_free(std::mem::take(&mut self.free));
     }
 
     fn quarantine(&mut self, key: &Digest, chain: &Chain) -> Option<Vec<u8>> {
@@ -998,13 +999,6 @@ impl Store {
         }
         Ok(())
     }
-}
-
-/// Keeps the free list sorted descending so `pop` hands out the lowest
-/// page id first (locality, and deterministic layouts in tests).
-fn sorted_free(mut free: Vec<u64>) -> Vec<u64> {
-    free.sort_unstable_by(|a, b| b.cmp(a));
-    free
 }
 
 /// Materializes the page images a put record writes; deletes produce the
@@ -1261,6 +1255,53 @@ mod tests {
         let mut s = Store::open(&d, tuning(256)).unwrap();
         assert_eq!(s.get(&key(1)).unwrap().unwrap(), vec![3u8; 600]);
         assert!(s.verify().unwrap().consistent());
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn free_list_allocates_as_the_resorted_vec_did() {
+        // The oracle is the previous free list: a `Vec` re-sorted
+        // descending after every freed chain and popped from the back.
+        let d = dir("free-oracle");
+        let mut s = Store::open(&d, tuning(256)).unwrap();
+        let mut oracle: Vec<u64> = Vec::new();
+        let mut oracle_pages = s.page_count;
+        let mut live: Vec<Vec<u64>> = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for step in 0..4000 {
+            if live.is_empty() || next(100) < 55 {
+                let n = 1 + next(5) as usize;
+                let want: Vec<u64> = (0..n)
+                    .map(|_| {
+                        oracle.pop().unwrap_or_else(|| {
+                            oracle_pages += 1;
+                            oracle_pages - 1
+                        })
+                    })
+                    .collect();
+                let got = s.allocate(n);
+                assert_eq!(got, want, "step {step}");
+                live.push(got);
+            } else {
+                let pages = live.swap_remove(next(live.len() as u64) as usize);
+                oracle.extend(&pages);
+                oracle.sort_unstable_by(|a, b| b.cmp(a));
+                s.free_chain(&Chain {
+                    pages,
+                    lsn: 0,
+                    total_len: 0,
+                });
+            }
+            assert_eq!(s.free.len(), oracle.len(), "step {step}");
+        }
+        assert_eq!(s.page_count, oracle_pages);
+        drop(s);
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -41,6 +41,28 @@ pub mod span;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use span::{SpanGuard, Trace};
 
+use std::fmt::Write as _;
+
+/// Escapes a string for a JSON string literal (no surrounding quotes): the
+/// one escaper behind the span exporters and the engine's JSONL records.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Canonical per-pass timing record, shared by the core pass manager and
 /// the engine's on-disk artifact format.
 ///
@@ -66,4 +88,17 @@ pub struct PassRecord {
     pub seconds: f64,
     /// Pass-defined work measure (gates touched, swaps inserted, …).
     pub steps: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn escapes_control_and_quote_characters() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\te\u{1}"),
+            "a\\\"b\\\\c\\nd\\te\\u0001"
+        );
+    }
 }

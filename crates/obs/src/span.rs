@@ -43,6 +43,7 @@
 //! assert!(trace.chrome_json().contains("\"traceEvents\""));
 //! ```
 
+use crate::json_escape;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -305,25 +306,6 @@ pub fn take() -> Trace {
 // ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
-
-/// Escapes a string for a JSON string literal (no surrounding quotes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn args_json(args: &[(&'static str, String)], extra: Option<(&str, &str)>) -> String {
     let mut fields: Vec<String> = args

@@ -10,7 +10,7 @@ use weaver::core::compress;
 use weaver::prelude::*;
 
 fn main() {
-    let formula = generator::instance(20, 1);
+    let workload = Workload::MaxSat(generator::instance(20, 1));
     println!(
         "sweeping CCZ fidelity on uf20-01 (f_cz = {:.3}, pulse-only threshold f_cz^4 = {:.4})\n",
         FpqaParams::default().fidelity_cz,
@@ -26,7 +26,7 @@ fn main() {
         let params = FpqaParams::default().with_ccz_fidelity(fidelity.min(0.999));
         let compressed_mode = compress::compression_beneficial(&params, 30.0);
         let weaver = Weaver::new().with_fpqa_params(params);
-        let out = weaver.compile_fpqa(&formula);
+        let out = weaver.compile_workload("fpqa", &workload).unwrap();
         println!(
             "{:>8.3} {:>12} {:>10.2e} {:>8} {:>12.4}",
             fidelity.min(0.999),
@@ -49,8 +49,8 @@ fn main() {
     params.rydberg_radius = 5.0;
     params.fidelity_ccz = 0.995;
     let weaver = Weaver::new().with_fpqa_params(params);
-    let out = weaver.compile_fpqa(&formula);
-    let report = weaver.verify(&out, &formula);
+    let out = weaver.compile_workload("fpqa", &workload).unwrap();
+    let report = weaver.verify(&out, &workload).expect("fpqa has a checker");
     println!(
         "  EPS {:.2e}, execution {:.4} s, {} pulses, checker: {}",
         out.metrics.eps,

@@ -86,7 +86,7 @@ fn main() {
         .compile_workload("fpqa", &workload)
         .expect("the FPQA backend accepts any formula");
     let report = weaver
-        .verify_workload(&output, &workload, None)
+        .verify(&output, &workload)
         .expect("the FPQA backend has a checker");
     println!(
         "\nFPQA compilation: {} pulses, {:.1} ms estimated execution, EPS {:.4}, checker: {}",

@@ -17,11 +17,15 @@ fn main() {
         formula.num_vars(),
         formula.num_clauses()
     );
+    let workload = Workload::MaxSat(formula);
 
     // Compile down the FPQA path: clause coloring → color shuttling →
     // 3-qubit gate compression → wQasm + pulse schedule.
     let weaver = Weaver::new();
-    let result = weaver.compile_fpqa(&formula);
+    let result = weaver
+        .compile_workload("fpqa", &workload)
+        .expect("the FPQA backend accepts any formula");
+    let compiled = result.artifact.as_fpqa().expect("an FPQA artifact");
 
     println!("\n--- metrics -------------------------------------------");
     println!(
@@ -35,11 +39,13 @@ fn main() {
     println!("EPS              : {:.4}", result.metrics.eps);
     println!("laser pulses     : {}", result.metrics.pulses);
     println!("motion ops       : {}", result.metrics.motion_ops);
-    println!("colors (stages)  : {}", result.compiled.coloring.num_colors);
+    println!("colors (stages)  : {}", compiled.coloring.num_colors);
 
     // Verify with the wChecker: every annotation is re-simulated on a fresh
     // device model and pulses are translated back to logical gates.
-    let report = weaver.verify(&result, &formula);
+    let report = weaver
+        .verify(&result, &workload)
+        .expect("the FPQA backend has a checker");
     println!("\n--- wChecker ------------------------------------------");
     println!("pulses checked   : {}", report.pulses_checked);
     println!("motions checked  : {}", report.motions_checked);
@@ -50,7 +56,7 @@ fn main() {
     assert!(report.passed(), "checker found: {:?}", report.errors);
 
     // The compiled program is ordinary wQasm text.
-    let text = weaver::wqasm::print(&result.compiled.program);
+    let text = weaver::wqasm::print(&compiled.program);
     let head: String = text.lines().take(12).collect::<Vec<_>>().join("\n");
     println!(
         "\n--- compiled wQasm (first 12 lines of {}) ----",

@@ -23,20 +23,25 @@ fn main() {
     let weaver = Weaver::new();
 
     // Superconducting path.
-    let sc = weaver.compile_superconducting(&formula, &CouplingMap::ibm_washington());
+    let sc = weaver
+        .compile_target("superconducting", &formula)
+        .expect("the heavy-hex map holds 20 qubits");
     print_row("Superconducting", &sc.metrics);
     println!(
         "    (SABRE inserted {} SWAPs on the heavy-hex map)",
-        sc.swap_count
+        sc.artifact.swap_count().unwrap_or(0)
     );
 
     // Weaver's FPQA path.
-    let fpqa = weaver.compile_fpqa(&formula);
+    let workload = Workload::MaxSat(formula.clone());
+    let fpqa = weaver
+        .compile_workload("fpqa", &workload)
+        .expect("the FPQA backend accepts any formula");
     print_row("Weaver", &fpqa.metrics);
     println!(
         "    ({} colors, wChecker: {})",
-        fpqa.compiled.coloring.num_colors,
-        if weaver.verify(&fpqa, &formula).passed() {
+        fpqa.artifact.num_colors().unwrap_or(0),
+        if weaver.verify(&fpqa, &workload).is_some_and(|r| r.passed()) {
             "PASS"
         } else {
             "FAIL"

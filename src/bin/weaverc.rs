@@ -1126,7 +1126,7 @@ fn run_single(args: &Args) -> ExitCode {
         }
     }
     if args.check {
-        match weaver.verify_workload(&output, &workload, None) {
+        match weaver.verify(&output, &workload) {
             Some(report) if report.passed() => {
                 let unitary = if report.unitary_checked {
                     "unitary compared".to_string()

@@ -25,15 +25,15 @@
 //! ```
 //! use weaver::prelude::*;
 //!
-//! let formula = weaver::sat::generator::instance(20, 1); // ≈ SATLIB uf20-01
+//! let workload = Workload::MaxSat(generator::instance(20, 1)); // ≈ SATLIB uf20-01
 //! let compiler = Weaver::new();
 //!
-//! // FPQA path: wOptimizer + wQasm codegen.
-//! let fpqa = compiler.compile_fpqa(&formula);
-//! assert!(compiler.verify(&fpqa, &formula).passed());
+//! // FPQA path: wOptimizer + wQasm codegen, checked by the wChecker.
+//! let fpqa = compiler.compile_workload("fpqa", &workload).unwrap();
+//! assert!(compiler.verify(&fpqa, &workload).unwrap().passed());
 //!
 //! // Superconducting path: SABRE onto the 127-qubit IBM Washington model.
-//! let sc = compiler.compile_superconducting(&formula, &CouplingMap::ibm_washington());
+//! let sc = compiler.compile_workload("superconducting", &workload).unwrap();
 //!
 //! // The paper's headline: higher fidelity on the FPQA path.
 //! assert!(fpqa.metrics.eps > sc.metrics.eps);
@@ -57,9 +57,8 @@ pub mod prelude {
     pub use weaver_baselines::{Atomique, BaselineOutput, Dpqa, FpqaCompiler, Geyser, Timeout};
     pub use weaver_circuit::{Circuit, Gate, NativeBasis};
     pub use weaver_core::{
-        Backend, BackendRegistry, CacheHandle, CheckReport, CodegenOptions, CompileOutput,
-        CompiledArtifact, FpqaResult, Frontend, FrontendRegistry, Metrics, Weaver, Workload,
-        WorkloadKind,
+        Backend, BackendRegistry, CheckReport, CodegenOptions, CompileOutput, CompiledArtifact,
+        Frontend, FrontendRegistry, Metrics, Weaver, Workload, WorkloadKind,
     };
     pub use weaver_engine::{CompileJob, Engine, EngineConfig};
     pub use weaver_fpqa::{FpqaDevice, FpqaParams, PulseOp, PulseSchedule};

@@ -141,34 +141,6 @@ fn superconducting_dispatch_is_byte_identical_to_direct_path() {
 }
 
 #[test]
-fn shims_equal_registry_dispatch() {
-    let formula = generator::instance(20, 5);
-    let weaver = Weaver::new();
-    // The surviving compile_fpqa / compile_superconducting shims are the
-    // same trait-dispatched path.
-    let shim = weaver.compile_fpqa(&formula);
-    let output = weaver.compile_target("fpqa", &formula).unwrap();
-    let CompiledArtifact::Fpqa(compiled) = &output.artifact else {
-        panic!("fpqa artifact expected");
-    };
-    assert_eq!(
-        weaver::wqasm::print(&shim.compiled.program),
-        weaver::wqasm::print(&compiled.program)
-    );
-    assert_eq!(
-        stable_metrics(&shim.metrics),
-        stable_metrics(&output.metrics)
-    );
-    let sc_shim = weaver.compile_superconducting(&formula, &CouplingMap::ibm_washington());
-    let sc_out = weaver.compile_target("sc", &formula).unwrap();
-    assert_eq!(Some(sc_shim.swap_count), sc_out.artifact.swap_count());
-    assert_eq!(
-        stable_metrics(&sc_shim.metrics),
-        stable_metrics(&sc_out.metrics)
-    );
-}
-
-#[test]
 fn simulator_target_compiles_through_the_registry() {
     let formula = generator::instance(10, 1);
     let weaver = Weaver::new();
@@ -217,7 +189,7 @@ fn every_pass_is_named_and_instrumented() {
     let registry = BackendRegistry::global();
     for backend in registry.backends() {
         let declared = backend.passes();
-        let output = backend.compile(&weaver, &formula, None).unwrap();
+        let output = backend.compile(&weaver, &formula).unwrap();
         let ran: Vec<&str> = output.passes.iter().map(|p| p.name).collect();
         assert_eq!(ran, declared, "{}", backend.info().name);
         assert!(

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use weaver::circuit::Instruction;
-use weaver::core::checker;
+use weaver::core::{checker, CompiledFpqa};
 use weaver::prelude::*;
 use weaver::sat::{qaoa, Formula};
 use weaver::simulator::{equiv, Matrix, State};
@@ -16,11 +16,19 @@ use weaver::wqasm::{Annotation, Statement};
 /// The checker's unitary-comparison tolerance.
 const CHECK_TOL: f64 = 1e-7;
 
-fn compile_small(variant: usize) -> (Formula, weaver::core::FpqaResult) {
+/// The FPQA compilation of `formula` under default options.
+fn compile_fpqa(formula: &Formula) -> CompiledFpqa {
+    let out = Weaver::new().compile_target("fpqa", formula).unwrap();
+    let CompiledArtifact::Fpqa(compiled) = out.artifact else {
+        panic!("fpqa artifact expected");
+    };
+    compiled
+}
+
+fn compile_small(variant: usize) -> (Formula, CompiledFpqa) {
     // 8 variables keeps the full unitary check in play.
     let formula = weaver::sat::generator::instance(8, variant);
-    let weaver = Weaver::new();
-    let result = weaver.compile_fpqa(&formula);
+    let result = compile_fpqa(&formula);
     (formula, result)
 }
 
@@ -28,11 +36,7 @@ fn compile_small(variant: usize) -> (Formula, weaver::core::FpqaResult) {
 fn fig9_style_reconstruction() {
     let (formula, result) = compile_small(1);
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
-    let report = checker::check(
-        &result.compiled.program,
-        &FpqaParams::default(),
-        Some(&reference),
-    );
+    let report = checker::check(&result.program, &FpqaParams::default(), Some(&reference));
     assert!(report.passed(), "{:?}", report.errors);
 
     // Pulse-to-gate output contains the CZ/CCZ gates the Rydberg pulses
@@ -62,7 +66,7 @@ fn random_angle_perturbations_are_caught() {
     let mut caught = 0;
     let mut attempts = 0;
     for _ in 0..12 {
-        let mut program = result.compiled.program.clone();
+        let mut program = result.program.clone();
         // Pick a random raman-local annotation and perturb one angle.
         let mut raman_positions = Vec::new();
         for (si, stmt) in program.statements.iter().enumerate() {
@@ -101,7 +105,7 @@ fn random_angle_perturbations_are_caught() {
 fn transfer_index_corruption_is_caught() {
     let (formula, result) = compile_small(3);
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
-    let mut program = result.compiled.program.clone();
+    let mut program = result.program.clone();
     let mut corrupted = false;
     for stmt in &mut program.statements {
         if let Statement::GateCall { annotations, .. } = stmt {
@@ -128,7 +132,7 @@ fn swapped_rydberg_operands_still_pass() {
     // NOT trip the checker (sets are compared, not sequences).
     let (formula, result) = compile_small(4);
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
-    let mut program = result.compiled.program.clone();
+    let mut program = result.program.clone();
     for stmt in &mut program.statements {
         if let Statement::GateCall { name, qubits, .. } = stmt {
             if (name == "cz" || name == "ccz") && qubits.len() >= 2 {
@@ -144,13 +148,10 @@ fn swapped_rydberg_operands_still_pass() {
 fn checker_complexity_matches_program_size() {
     // §6: O(N²·M) — more clauses means proportionally more checks, and the
     // checker must stay fast enough to run on every compilation.
-    let weaver = Weaver::new();
-    let f_small = weaver::sat::generator::instance(8, 1);
-    let f_large = weaver::sat::generator::instance(20, 1);
-    let small = weaver.compile_fpqa(&f_small);
-    let large = weaver.compile_fpqa(&f_large);
-    let r_small = checker::check(&small.compiled.program, &FpqaParams::default(), None);
-    let r_large = checker::check(&large.compiled.program, &FpqaParams::default(), None);
+    let small = compile_fpqa(&weaver::sat::generator::instance(8, 1));
+    let large = compile_fpqa(&weaver::sat::generator::instance(20, 1));
+    let r_small = checker::check(&small.program, &FpqaParams::default(), None);
+    let r_large = checker::check(&large.program, &FpqaParams::default(), None);
     assert!(r_small.passed() && r_large.passed());
     assert!(r_large.pulses_checked > r_small.pulses_checked);
     assert!(r_large.motions_checked > r_small.motions_checked);
@@ -277,12 +278,11 @@ fn mutate(reference: &Circuit, kind: Mutation, rng: &mut StdRng) -> Circuit {
 /// built column by column through the seed apply loop), and each kind must
 /// be rejected at least once.
 fn check_reference_mutants(sizes: std::ops::RangeInclusive<usize>) {
-    let weaver = Weaver::new();
     let params = FpqaParams::default();
     let mut rejected = [0usize; MUTATIONS.len()];
     for n in sizes {
         let formula = weaver::sat::generator::instance(n, 1);
-        let program = weaver.compile_fpqa(&formula).compiled.program;
+        let program = compile_fpqa(&formula).program;
         let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
 
         let report = checker::check(&program, &params, Some(&reference));

@@ -92,7 +92,7 @@ fn preconditions_are_structured_errors_not_panics() {
     // the same backend type the family uses.
     let disconnected = CouplingMap::new(20, &[(0, 1), (2, 3)]);
     let err = SuperconductingBackend::with_coupling(disconnected)
-        .compile(&weaver, &generator::instance(10, 1), None)
+        .compile(&weaver, &generator::instance(10, 1))
         .expect_err("disconnected map must fail");
     assert_eq!(err.kind, BackendErrorKind::Unsupported);
     assert!(err.message.contains("disconnected"), "{err}");
@@ -214,7 +214,7 @@ fn line_is_byte_identical_to_the_preexisting_backend_with_line_coupling() {
         let formula = generator::instance(20, variant);
         let family_out = weaver.compile_target("sc:line", &formula).unwrap();
         let direct = SuperconductingBackend::with_coupling(CouplingMap::line(127))
-            .compile(&weaver, &formula, None)
+            .compile(&weaver, &formula)
             .unwrap();
         assert_eq!(
             family_out.artifact.print_wqasm(),

@@ -121,11 +121,6 @@ fn cold_warm_and_thread_counts_agree_byte_for_byte() {
         assert_eq!(ba.check_passed, Some(true));
         assert_eq!(ca.check_passed, Some(true));
     }
-    // Warm reruns are served from the artifact cache before the checker is
-    // ever reached: the cold run recorded one device trace per job and the
-    // warm run added nothing.
-    assert_eq!(warm_1.core_stats.checker_misses, jobs.len() as u64);
-    assert_eq!(warm_1.core_stats.checker_hits, 0);
 }
 
 #[test]

@@ -121,13 +121,14 @@ proptest! {
     #[test]
     fn wqasm_roundtrip_on_compiled(seed in 1usize..40) {
         let f = weaver::sat::generator::instance(6, seed);
-        let result = weaver::core::Weaver::new().compile_fpqa(&f);
-        let text = wqasm::print(&result.compiled.program);
+        let out = weaver::core::Weaver::new().compile_target("fpqa", &f).unwrap();
+        let program = &out.artifact.as_fpqa().unwrap().program;
+        let text = wqasm::print(program);
         let reparsed = wqasm::parse(&text).expect("reparse");
         let reparsed2 = wqasm::parse(&wqasm::print(&reparsed)).expect("reparse twice");
         prop_assert_eq!(&reparsed2, &reparsed);
-        prop_assert_eq!(reparsed.pulse_count(), result.compiled.program.pulse_count());
-        prop_assert_eq!(reparsed.motion_count(), result.compiled.program.motion_count());
+        prop_assert_eq!(reparsed.pulse_count(), program.pulse_count());
+        prop_assert_eq!(reparsed.motion_count(), program.motion_count());
     }
 
     /// EPS is always a probability, and adding pulses never raises it.
@@ -135,12 +136,13 @@ proptest! {
     fn eps_is_monotone_probability(seed in 1usize..30) {
         use weaver::fpqa::{eps, FpqaParams, PulseOp, PulseSchedule};
         let f = weaver::sat::generator::instance(8, seed);
-        let result = weaver::core::Weaver::new().compile_fpqa(&f);
+        let out = weaver::core::Weaver::new().compile_target("fpqa", &f).unwrap();
+        let schedule = &out.artifact.as_fpqa().unwrap().schedule;
         let params = FpqaParams::default();
-        let e = eps(&result.compiled.schedule, &params, 8);
+        let e = eps(schedule, &params, 8);
         prop_assert!(e > 0.0 && e <= 1.0);
         let mut longer = PulseSchedule::new();
-        longer.append_schedule(&result.compiled.schedule);
+        longer.append_schedule(schedule);
         longer.push(PulseOp::Rydberg { groups: vec![vec![0, 1]] });
         prop_assert!(eps(&longer, &params, 8) <= e);
     }
