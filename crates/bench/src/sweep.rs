@@ -61,7 +61,10 @@ impl SizeSweep {
         // Phase 1 — Weaver and the superconducting baseline as engine jobs.
         let engine_systems = [
             (CompilerId::Weaver, Target::Fpqa),
-            (CompilerId::Superconducting, Target::Superconducting),
+            (
+                CompilerId::Superconducting,
+                Target::parse("superconducting").expect("a core target"),
+            ),
         ];
         let mut jobs = Vec::new();
         let mut keys = Vec::new();

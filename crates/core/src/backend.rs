@@ -1,10 +1,11 @@
 //! The retargetable backend interface (paper Fig. 3): one front end, many
 //! hardware targets.
 //!
-//! A [`Backend`] turns a Max-3SAT workload into a target-specific artifact
-//! by running a named sequence of lowering passes through a [`PassManager`];
-//! every pass is individually timed and step-counted ([`PassStat`]), and the
-//! result is a unified [`CompileOutput`] regardless of target. Backends are
+//! A [`Backend`] turns a Max-3SAT workload (or, on circuit-capable
+//! targets, a circuit) into a target-specific artifact by running a named
+//! sequence of lowering passes through a [`PassManager`]; every pass is
+//! individually timed and step-counted ([`PassStat`]), and the result is a
+//! unified [`CompileOutput`] regardless of target. Backends are
 //! looked up by name (and aliases) in a [`BackendRegistry`], so every
 //! dispatch site — the [`Weaver`] pipeline, the batch engine, `weaverc`,
 //! the benchmark harness — goes through one table instead of hard-coded
@@ -25,7 +26,11 @@
 //!
 //! # Adding a target
 //!
-//! Implement [`Backend`] and register it:
+//! Implement [`Backend`] and register it. A backend registered in
+//! [`BackendRegistry::with_default_targets`] is a target everywhere:
+//! `weaverc`, batch manifests and `weaverd` requests resolve names through
+//! [`BackendRegistry::global`], and the engine keys artifacts on the
+//! canonical name.
 //!
 //! ```
 //! use weaver_core::backend::{
@@ -125,66 +130,45 @@ impl From<&PassStat> for weaver_obs::PassRecord {
     }
 }
 
-/// Runs one named pass body under an obs span (category `"pass"`) and
-/// records its duration into the `weaver_pass_duration_seconds{pass=…}`
-/// histogram. The body returns `(value, steps)`; the caller gets the value
-/// back alongside the canonical [`PassStat`] — every pass in the
-/// workspace, whether driven by a [`PassManager`] or hand-rolled in a
-/// `compile_circuit` path, reports through this single chokepoint.
-pub fn timed_pass<T>(name: &'static str, body: impl FnOnce() -> (T, u64)) -> (T, PassStat) {
-    let mut span = weaver_obs::span::span("pass", name);
-    let start = Instant::now();
-    let (value, steps) = body();
-    let seconds = start.elapsed().as_secs_f64();
-    span.set_arg("steps", steps);
-    drop(span);
+/// The `weaver_pass_duration_seconds{pass=…}` histogram every
+/// [`PassManager`] run feeds, one series per pass name.
+pub fn pass_duration_histogram(pass: &str) -> Arc<weaver_obs::metrics::Histogram> {
     weaver_obs::metrics::histogram_with(
         "weaver_pass_duration_seconds",
         "Wall-clock duration of individual compiler passes.",
-        &[("pass", name)],
+        &[("pass", pass)],
         &weaver_obs::metrics::DEFAULT_LATENCY_BUCKETS,
-    )
-    .observe(seconds);
-    (
-        value,
-        PassStat {
-            name,
-            seconds,
-            steps,
-        },
     )
 }
 
-/// Read-only inputs shared by every pass of one compilation.
-pub struct PassContext<'a> {
+/// Read-only inputs shared by every pass of one compilation. `W` is the
+/// workload kind the pipeline starts from: a [`Formula`] or a circuit
+/// [`Program`].
+pub struct PassContext<'a, W> {
     /// The compiler configuration (target parameters, wOptimizer options).
     pub weaver: &'a Weaver,
     /// The workload being lowered.
-    pub formula: &'a Formula,
+    pub workload: &'a W,
 }
 
 /// One named lowering pass over backend-specific state `S`; returns the
 /// work steps it performed.
-type PassFn<S> = fn(&mut S, &PassContext<'_>) -> u64;
+type PassFn<S, W> = fn(&mut S, &PassContext<'_, W>) -> Result<u64, BackendError>;
 
 /// A small pass manager: an ordered list of named passes over a
 /// backend-specific lowering state, with per-pass timing and step counting.
+/// Every pipeline in the workspace runs through it.
 ///
 /// Backends build one per compilation (construction is a handful of
-/// function pointers) and surface the same names through
+/// function pointers) and surface the formula pipeline's names through
 /// [`Backend::passes`].
-pub struct PassManager<S> {
-    passes: Vec<(&'static str, PassFn<S>)>,
+pub struct PassManager<S, W> {
+    passes: Vec<(&'static str, PassFn<S, W>)>,
 }
 
-impl<S> PassManager<S> {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        PassManager { passes: Vec::new() }
-    }
-
+impl<S, W> PassManager<S, W> {
     /// Appends a named pass.
-    pub fn pass(mut self, name: &'static str, run: PassFn<S>) -> Self {
+    pub fn pass(mut self, name: &'static str, run: PassFn<S, W>) -> Self {
         self.passes.push((name, run));
         self
     }
@@ -195,20 +179,75 @@ impl<S> PassManager<S> {
     }
 
     /// Runs every pass in order, returning one [`PassStat`] per pass. Each
-    /// pass executes under [`timed_pass`], so it shows up as a `"pass"`
-    /// span in the trace and feeds the per-pass duration histogram.
-    pub fn run(&self, state: &mut S, ctx: &PassContext<'_>) -> Vec<PassStat> {
+    /// pass runs under a `"pass"` span and feeds
+    /// [`pass_duration_histogram`]; its clock is the only one behind
+    /// [`Metrics::compilation_seconds`], the sum of the returned seconds.
+    ///
+    /// # Errors
+    ///
+    /// The first failing pass's error; later passes do not run.
+    pub fn run(
+        &self,
+        state: &mut S,
+        ctx: &PassContext<'_, W>,
+    ) -> Result<Vec<PassStat>, BackendError> {
         self.passes
             .iter()
-            .map(|(name, run)| timed_pass(name, || ((), run(state, ctx))).1)
+            .map(|&(name, run)| {
+                let mut span = weaver_obs::span::span("pass", name);
+                let start = Instant::now();
+                let result = run(state, ctx);
+                let seconds = start.elapsed().as_secs_f64();
+                span.set_arg("steps", *result.as_ref().unwrap_or(&0));
+                drop(span);
+                pass_duration_histogram(name).observe(seconds);
+                Ok(PassStat {
+                    name,
+                    seconds,
+                    steps: result?,
+                })
+            })
             .collect()
     }
 }
 
-impl<S> Default for PassManager<S> {
+impl<S, W> Default for PassManager<S, W> {
+    /// An empty pipeline.
     fn default() -> Self {
-        PassManager::new()
+        PassManager { passes: Vec::new() }
     }
+}
+
+/// A compile's [`Metrics::compilation_seconds`]: the sum of its passes'
+/// seconds, so the metric and the pass trace read one clock.
+fn compilation_seconds(passes: &[PassStat]) -> f64 {
+    passes.iter().map(|p| p.seconds).sum()
+}
+
+/// The lowering state of a pipeline that can start from a circuit
+/// workload, as the shared `ingest-circuit` pass sees it.
+trait CircuitLowering {
+    /// The widest register the target accepts, and the slot the next pass
+    /// takes its circuit from.
+    fn circuit_slot(&mut self) -> (usize, &mut Option<Circuit>);
+}
+
+/// `ingest-circuit`: converts a wQasm program to the circuit IR and checks
+/// that it fits the target. Steps: the circuit's gate count.
+fn ingest_circuit<S: CircuitLowering>(
+    state: &mut S,
+    ctx: &PassContext<'_, Program>,
+) -> Result<u64, BackendError> {
+    let circuit =
+        weaver_wqasm::convert::program_to_circuit(ctx.workload).map_err(|e| BackendError {
+            kind: BackendErrorKind::Unsupported,
+            message: e.to_string(),
+        })?;
+    let (max_qubits, slot) = state.circuit_slot();
+    BackendError::check_width(circuit.num_qubits(), max_qubits)?;
+    let steps = circuit.gate_count() as u64;
+    *slot = Some(circuit);
+    Ok(steps)
 }
 
 // ---------------------------------------------------------------------------
@@ -346,13 +385,17 @@ pub struct BackendError {
 }
 
 impl BackendError {
-    /// An [`BackendErrorKind::Unsupported`] error for a register wider than
-    /// the target's capacity, in the engine's canonical wording.
-    pub fn too_many_qubits(num_vars: usize, max_qubits: usize) -> Self {
-        BackendError {
-            kind: BackendErrorKind::Unsupported,
-            message: format!("{num_vars} variables exceed the {max_qubits}-qubit backend"),
+    /// Checks that a `width`-qubit register fits a `max_qubits` target;
+    /// the error is [`BackendErrorKind::Unsupported`], in the engine's
+    /// canonical wording.
+    pub fn check_width(width: usize, max_qubits: usize) -> Result<(), Self> {
+        if width <= max_qubits {
+            return Ok(());
         }
+        Err(BackendError {
+            kind: BackendErrorKind::Unsupported,
+            message: format!("{width} variables exceed the {max_qubits}-qubit backend"),
+        })
     }
 
     /// The [`BackendErrorKind::UnsupportedWorkload`] rejection of a circuit
@@ -444,21 +487,14 @@ pub trait Backend: Send + Sync {
     /// target (see [`BackendInfo::max_qubits`]).
     fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError>;
 
-    /// Whether this target accepts direct circuit workloads (front ends
-    /// like `wqasm` that enter at the circuit IR). Targets whose lowering
-    /// starts from a formula — like the FPQA clause-coloring path — say
-    /// `false` and reject circuits with a structured diagnostic.
-    fn supports_circuits(&self) -> bool {
-        false
-    }
-
-    /// Compiles a circuit workload for this target. The default rejects it
-    /// with [`BackendErrorKind::UnsupportedWorkload`].
+    /// Compiles a circuit workload (front ends like `wqasm` that enter at
+    /// the circuit IR) for this target. The default rejects it, as a
+    /// target whose lowering starts from a formula — like the FPQA
+    /// clause-coloring path — must.
     ///
     /// # Errors
     ///
-    /// [`BackendErrorKind::UnsupportedWorkload`] when
-    /// [`Backend::supports_circuits`] is false;
+    /// [`BackendErrorKind::UnsupportedWorkload`] from the default;
     /// [`BackendErrorKind::Unsupported`] when the circuit does not fit the
     /// target.
     fn compile_circuit(
@@ -517,8 +553,8 @@ struct FpqaLowering {
 }
 
 impl FpqaBackend {
-    fn manager() -> PassManager<FpqaLowering> {
-        PassManager::<FpqaLowering>::new()
+    fn manager() -> PassManager<FpqaLowering, Formula> {
+        PassManager::<FpqaLowering, Formula>::default()
             .pass("site-layout", |state, ctx| {
                 // The site geometry follows the device parameters
                 // (interaction distance within the Rydberg radius, homes
@@ -533,23 +569,23 @@ impl FpqaBackend {
                 {
                     state.options.compression = false;
                 }
-                0
+                Ok(0)
             })
             .pass("clause-coloring", |state, ctx| {
-                state.coloring = Some(codegen::select_coloring(ctx.formula, &state.options));
-                0
+                state.coloring = Some(codegen::select_coloring(ctx.workload, &state.options));
+                Ok(0)
             })
             .pass("emit-wqasm", |state, ctx| {
                 let coloring = state.coloring.take().expect("clause-coloring ran");
                 let compiled = codegen::compile_formula_with_coloring(
-                    ctx.formula,
+                    ctx.workload,
                     &ctx.weaver.fpqa_params,
                     &state.options,
                     coloring,
                 );
                 let steps = compiled.steps;
                 state.compiled = Some(compiled);
-                steps
+                Ok(steps)
             })
     }
 }
@@ -570,20 +606,22 @@ impl Backend for FpqaBackend {
     }
 
     fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
-        let start = Instant::now();
-        let ctx = PassContext { weaver, formula };
         let mut state = FpqaLowering {
             options: weaver.options.clone(),
             coloring: None,
             compiled: None,
         };
-        let passes = FpqaBackend::manager().run(&mut state, &ctx);
+        let ctx = PassContext {
+            weaver,
+            workload: formula,
+        };
+        let passes = FpqaBackend::manager().run(&mut state, &ctx)?;
         let compiled = state.compiled.expect("emit-wqasm ran");
         let metrics = Metrics::for_schedule(
             &compiled.schedule,
             &weaver.fpqa_params,
             formula.num_vars(),
-            start.elapsed().as_secs_f64(),
+            compilation_seconds(&passes),
             compiled.steps,
         );
         Ok(CompileOutput {
@@ -630,10 +668,29 @@ pub struct SuperconductingBackend {
     coupling: CouplingMap,
 }
 
-struct ScLowering {
-    coupling: CouplingMap,
+struct ScLowering<'a> {
+    coupling: &'a CouplingMap,
     circuit: Option<Circuit>,
-    result: Option<Result<TranspileResult, RouteError>>,
+    routed: Option<TranspileResult>,
+}
+
+impl CircuitLowering for ScLowering<'_> {
+    fn circuit_slot(&mut self) -> (usize, &mut Option<Circuit>) {
+        (self.coupling.num_qubits(), &mut self.circuit)
+    }
+}
+
+/// `sabre-transpile`: routes the lowered circuit onto the coupling map.
+/// Steps: SABRE's work counter.
+fn sabre_transpile<W>(
+    state: &mut ScLowering<'_>,
+    ctx: &PassContext<'_, W>,
+) -> Result<u64, BackendError> {
+    let circuit = state.circuit.take().expect("a lowering pass ran");
+    let routed = transpile(&circuit, state.coupling, &ctx.weaver.superconducting_params)?;
+    let steps = routed.steps;
+    state.routed = Some(routed);
+    Ok(steps)
 }
 
 impl SuperconductingBackend {
@@ -687,27 +744,48 @@ impl SuperconductingBackend {
         }
     }
 
-    fn manager() -> PassManager<ScLowering> {
-        PassManager::<ScLowering>::new()
+    fn manager<'a>() -> PassManager<ScLowering<'a>, Formula> {
+        PassManager::<ScLowering<'a>, Formula>::default()
             .pass("qaoa-lower", |state, ctx| {
                 state.circuit = Some(qaoa::build_circuit(
-                    ctx.formula,
+                    ctx.workload,
                     &ctx.weaver.options.qaoa,
                     ctx.weaver.options.measure,
                 ));
-                0
+                Ok(0)
             })
-            .pass("sabre-transpile", |state, ctx| {
-                let circuit = state.circuit.take().expect("qaoa-lower ran");
-                let result = transpile(
-                    &circuit,
-                    &state.coupling,
-                    &ctx.weaver.superconducting_params,
-                );
-                let steps = result.as_ref().map_or(0, |r| r.steps);
-                state.result = Some(result);
-                steps
-            })
+            .pass("sabre-transpile", sabre_transpile)
+    }
+
+    fn circuit_manager<'a>() -> PassManager<ScLowering<'a>, Program> {
+        PassManager::default()
+            .pass("ingest-circuit", ingest_circuit)
+            .pass("sabre-transpile", sabre_transpile)
+    }
+
+    /// Runs `manager` over `workload` and packages the routed circuit.
+    fn lower<'a, W>(
+        &'a self,
+        manager: PassManager<ScLowering<'a>, W>,
+        weaver: &Weaver,
+        workload: &W,
+    ) -> Result<CompileOutput, BackendError> {
+        let mut state = ScLowering {
+            coupling: &self.coupling,
+            circuit: None,
+            routed: None,
+        };
+        let passes = manager.run(&mut state, &PassContext { weaver, workload })?;
+        let routed = state.routed.expect("sabre-transpile ran");
+        Ok(CompileOutput {
+            backend: self.info.name.clone(),
+            metrics: Metrics::for_transpiled(&routed, compilation_seconds(&passes)),
+            artifact: CompiledArtifact::Superconducting {
+                circuit: routed.circuit,
+                swap_count: routed.swap_count,
+            },
+            passes,
+        })
     }
 }
 
@@ -727,35 +805,8 @@ impl Backend for SuperconductingBackend {
     }
 
     fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
-        if formula.num_vars() > self.coupling.num_qubits() {
-            return Err(BackendError::too_many_qubits(
-                formula.num_vars(),
-                self.coupling.num_qubits(),
-            ));
-        }
-        let start = Instant::now();
-        let ctx = PassContext { weaver, formula };
-        let mut state = ScLowering {
-            coupling: self.coupling.clone(),
-            circuit: None,
-            result: None,
-        };
-        let passes = SuperconductingBackend::manager().run(&mut state, &ctx);
-        let result = state.result.expect("sabre-transpile ran")?;
-        let metrics = Metrics::for_transpiled(&result, start.elapsed().as_secs_f64());
-        Ok(CompileOutput {
-            backend: self.info.name.clone(),
-            artifact: CompiledArtifact::Superconducting {
-                circuit: result.circuit,
-                swap_count: result.swap_count,
-            },
-            metrics,
-            passes,
-        })
-    }
-
-    fn supports_circuits(&self) -> bool {
-        true
+        BackendError::check_width(formula.num_vars(), self.coupling.num_qubits())?;
+        self.lower(SuperconductingBackend::manager(), weaver, formula)
     }
 
     fn compile_circuit(
@@ -763,39 +814,7 @@ impl Backend for SuperconductingBackend {
         weaver: &Weaver,
         program: &Program,
     ) -> Result<CompileOutput, BackendError> {
-        let start = Instant::now();
-        let (ingested, ingest) = timed_pass("ingest-circuit", || {
-            let result =
-                weaver_wqasm::convert::program_to_circuit(program).map_err(|e| BackendError {
-                    kind: BackendErrorKind::Unsupported,
-                    message: e.to_string(),
-                });
-            let steps = result.as_ref().map_or(0, |c| c.gate_count() as u64);
-            (result, steps)
-        });
-        let circuit = ingested?;
-        if circuit.num_qubits() > self.coupling.num_qubits() {
-            return Err(BackendError::too_many_qubits(
-                circuit.num_qubits(),
-                self.coupling.num_qubits(),
-            ));
-        }
-        let (routed, route) = timed_pass("sabre-transpile", || {
-            let result = transpile(&circuit, &self.coupling, &weaver.superconducting_params);
-            let steps = result.as_ref().map_or(0, |r| r.steps);
-            (result, steps)
-        });
-        let result = routed?;
-        let metrics = Metrics::for_transpiled(&result, start.elapsed().as_secs_f64());
-        Ok(CompileOutput {
-            backend: self.info.name.clone(),
-            artifact: CompiledArtifact::Superconducting {
-                circuit: result.circuit,
-                swap_count: result.swap_count,
-            },
-            metrics,
-            passes: vec![ingest, route],
-        })
+        self.lower(SuperconductingBackend::circuit_manager(), weaver, program)
     }
 }
 
@@ -813,31 +832,52 @@ impl Backend for SuperconductingBackend {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimulatorBackend;
 
+#[derive(Default)]
+struct SimLowering {
+    circuit: Option<Circuit>,
+    native: Option<Circuit>,
+    state: Option<State>,
+    /// The clause-score table, shared by `statevector` and `ideal-eps`.
+    scores: Option<Vec<u64>>,
+    /// `(optimal_probability, max_satisfied, num_optimal)`.
+    outcome: Option<(f64, u64, usize)>,
+}
+
+impl CircuitLowering for SimLowering {
+    fn circuit_slot(&mut self) -> (usize, &mut Option<Circuit>) {
+        (SimulatorBackend::MAX_QUBITS, &mut self.circuit)
+    }
+}
+
+/// `nativize`: rewrites the lowered circuit into the `{U3, CZ}` basis.
+/// Steps: the native gate count.
+fn nativize<W>(state: &mut SimLowering, _ctx: &PassContext<'_, W>) -> Result<u64, BackendError> {
+    let circuit = state.circuit.take().expect("a lowering pass ran");
+    let native = native::nativize(&circuit, NativeBasis::U3Cz);
+    let steps = native.gate_count() as u64;
+    state.native = Some(native);
+    Ok(steps)
+}
+
 impl SimulatorBackend {
     /// Register cap: `2^20` amplitudes (16 MiB) keeps the full-vector run
     /// and the exhaustive optimum scan fast on one core, and covers the
     /// SATLIB uf20 fixture suite.
     pub const MAX_QUBITS: usize = 20;
 
-    fn manager() -> PassManager<SimLowering> {
-        PassManager::<SimLowering>::new()
+    fn manager() -> PassManager<SimLowering, Formula> {
+        PassManager::<SimLowering, Formula>::default()
             .pass("qaoa-lower", |state, ctx| {
                 // No measurement statements: the backend reads the final
                 // amplitudes directly instead of sampling.
                 state.circuit = Some(qaoa::build_circuit(
-                    ctx.formula,
+                    ctx.workload,
                     &ctx.weaver.options.qaoa,
                     false,
                 ));
-                0
+                Ok(0)
             })
-            .pass("nativize", |state, _ctx| {
-                let circuit = state.circuit.take().expect("qaoa-lower ran");
-                let native = native::nativize(&circuit, NativeBasis::U3Cz);
-                let steps = native.gate_count() as u64;
-                state.native = Some(native);
-                steps
-            })
+            .pass("nativize", nativize)
             .pass("statevector", |state, ctx| {
                 // The QAOA state from the circuit's two layers rather than
                 // its gates: the cost evolution is the diagonal
@@ -845,8 +885,8 @@ impl SimulatorBackend {
                 // polynomial is the satisfied weight, up to a global
                 // phase), the mixer is n RX(2β) butterflies. The nativized
                 // circuit is the same unitary up to a global phase.
-                let n = ctx.formula.num_vars();
-                let scores = ctx.formula.satisfied_weight_table();
+                let n = ctx.workload.num_vars();
+                let scores = ctx.workload.satisfied_weight_table();
                 let plus = Complex::real((scores.len() as f64).sqrt().recip());
                 let mut vector = State::from_amplitudes(vec![plus; scores.len()]);
                 let layers = &ctx.weaver.options.qaoa.layers;
@@ -861,7 +901,7 @@ impl SimulatorBackend {
                 state.scores = Some(scores);
                 // Amplitude passes: the score table, |+⟩ⁿ, then per layer
                 // the diagonal and n butterflies.
-                (2 + layers.len() as u64 * (n as u64 + 1)) << n
+                Ok((2 + layers.len() as u64 * (n as u64 + 1)) << n)
             })
             .pass("ideal-eps", |state, ctx| {
                 let vector = state.state.take().expect("statevector ran");
@@ -885,56 +925,57 @@ impl SimulatorBackend {
                 }
                 state.outcome = Some((optimal_probability, max_satisfied, num_optimal));
                 // One readout pass over the amplitudes and their scores.
-                1u64 << ctx.formula.num_vars()
+                Ok(1u64 << ctx.workload.num_vars())
             })
     }
-}
 
-struct SimLowering {
-    circuit: Option<Circuit>,
-    native: Option<Circuit>,
-    state: Option<State>,
-    /// The clause-score table, shared by `statevector` and `ideal-eps`.
-    scores: Option<Vec<u64>>,
-    outcome: Option<(f64, u64, usize)>,
-}
-
-impl Backend for SimulatorBackend {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            name: "simulator".to_string(),
-            aliases: vec!["sim".to_string()],
-            description: "ideal state-vector execution (noiseless EPS reference)".to_string(),
-            max_qubits: Some(SimulatorBackend::MAX_QUBITS),
-        }
+    fn circuit_manager() -> PassManager<SimLowering, Program> {
+        PassManager::default()
+            .pass("ingest-circuit", ingest_circuit)
+            .pass("nativize", nativize)
+            .pass("statevector", |state, _ctx| {
+                let native = state.native.as_ref().expect("nativize ran");
+                state.state = Some(native.statevector());
+                Ok((native.gate_count() as u64) << native.num_qubits())
+            })
+            .pass("peak-probability", |state, _ctx| {
+                // Without a formula objective, "success" is the circuit's
+                // most likely outcome: EPS = peak basis-state probability.
+                let vector = state.state.take().expect("statevector ran");
+                let optimal_probability = vector
+                    .amplitudes()
+                    .iter()
+                    .map(|amp| amp.norm_sqr())
+                    .fold(0.0f64, f64::max);
+                // Nativization rewrites gates into {U3, CZ}, so
+                // probabilities that are equal in exact arithmetic can
+                // differ in the last few ulps; count peaks up to a relative
+                // tolerance rather than bitwise.
+                let tolerance = optimal_probability * 1e-9;
+                let num_optimal = vector
+                    .amplitudes()
+                    .iter()
+                    .filter(|amp| amp.norm_sqr() >= optimal_probability - tolerance)
+                    .count();
+                state.outcome = Some((optimal_probability, 0, num_optimal));
+                Ok(1u64 << vector.num_qubits())
+            })
     }
 
-    fn passes(&self) -> Vec<&'static str> {
-        SimulatorBackend::manager().names()
-    }
-
-    fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
-        if formula.num_vars() > SimulatorBackend::MAX_QUBITS {
-            return Err(BackendError::too_many_qubits(
-                formula.num_vars(),
-                SimulatorBackend::MAX_QUBITS,
-            ));
-        }
-        let start = Instant::now();
-        let ctx = PassContext { weaver, formula };
-        let mut state = SimLowering {
-            circuit: None,
-            native: None,
-            state: None,
-            scores: None,
-            outcome: None,
-        };
-        let passes = SimulatorBackend::manager().run(&mut state, &ctx);
+    /// Runs `manager` over `workload` and packages the simulated run.
+    fn lower<W>(
+        &self,
+        manager: PassManager<SimLowering, W>,
+        weaver: &Weaver,
+        workload: &W,
+    ) -> Result<CompileOutput, BackendError> {
+        let mut state = SimLowering::default();
+        let passes = manager.run(&mut state, &PassContext { weaver, workload })?;
         let native = state.native.expect("nativize ran");
         let (optimal_probability, max_satisfied, num_optimal) =
-            state.outcome.expect("ideal-eps ran");
+            state.outcome.expect("a readout pass ran");
         let metrics = Metrics {
-            compilation_seconds: start.elapsed().as_secs_f64(),
+            compilation_seconds: compilation_seconds(&passes),
             // An ideal run has no hardware clock and no atom motion.
             execution_micros: 0.0,
             eps: optimal_probability,
@@ -954,86 +995,33 @@ impl Backend for SimulatorBackend {
             passes,
         })
     }
+}
 
-    fn supports_circuits(&self) -> bool {
-        true
+impl Backend for SimulatorBackend {
+    fn info(&self) -> BackendInfo {
+        BackendInfo {
+            name: "simulator".to_string(),
+            aliases: vec!["sim".to_string()],
+            description: "ideal state-vector execution (noiseless EPS reference)".to_string(),
+            max_qubits: Some(SimulatorBackend::MAX_QUBITS),
+        }
+    }
+
+    fn passes(&self) -> Vec<&'static str> {
+        SimulatorBackend::manager().names()
+    }
+
+    fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
+        BackendError::check_width(formula.num_vars(), SimulatorBackend::MAX_QUBITS)?;
+        self.lower(SimulatorBackend::manager(), weaver, formula)
     }
 
     fn compile_circuit(
         &self,
-        _weaver: &Weaver,
+        weaver: &Weaver,
         program: &Program,
     ) -> Result<CompileOutput, BackendError> {
-        let start = Instant::now();
-        let (ingested, ingest) = timed_pass("ingest-circuit", || {
-            let result =
-                weaver_wqasm::convert::program_to_circuit(program).map_err(|e| BackendError {
-                    kind: BackendErrorKind::Unsupported,
-                    message: e.to_string(),
-                });
-            let steps = result.as_ref().map_or(0, |c| c.gate_count() as u64);
-            (result, steps)
-        });
-        let circuit = ingested?;
-        if circuit.num_qubits() > SimulatorBackend::MAX_QUBITS {
-            return Err(BackendError::too_many_qubits(
-                circuit.num_qubits(),
-                SimulatorBackend::MAX_QUBITS,
-            ));
-        }
-        let (native, nativize_stat) = timed_pass("nativize", || {
-            let native = native::nativize(&circuit, NativeBasis::U3Cz);
-            let steps = native.gate_count() as u64;
-            (native, steps)
-        });
-        let (vector, sim_stat) = timed_pass("statevector", || {
-            let vector = native.statevector();
-            let steps = (native.gate_count() as u64) << native.num_qubits();
-            (vector, steps)
-        });
-        // Without a formula objective, "success" is the circuit's most
-        // likely outcome: EPS = peak basis-state probability.
-        let ((optimal_probability, num_optimal), peak) = timed_pass("peak-probability", || {
-            let optimal_probability = vector
-                .amplitudes()
-                .iter()
-                .map(|amp| amp.norm_sqr())
-                .fold(0.0f64, f64::max);
-            // Nativization rewrites gates into {U3, CZ}, so probabilities
-            // that are equal in exact arithmetic can differ in the last few
-            // ulps; count peaks up to a relative tolerance rather than
-            // bitwise.
-            let tolerance = optimal_probability * 1e-9;
-            let num_optimal = vector
-                .amplitudes()
-                .iter()
-                .filter(|amp| amp.norm_sqr() >= optimal_probability - tolerance)
-                .count();
-            (
-                (optimal_probability, num_optimal),
-                1u64 << native.num_qubits(),
-            )
-        });
-        let passes = vec![ingest, nativize_stat, sim_stat, peak];
-        let metrics = Metrics {
-            compilation_seconds: start.elapsed().as_secs_f64(),
-            execution_micros: 0.0,
-            eps: optimal_probability,
-            pulses: native.gate_count(),
-            motion_ops: 0,
-            steps: passes.iter().map(|p| p.steps).sum(),
-        };
-        Ok(CompileOutput {
-            backend: self.info().name,
-            artifact: CompiledArtifact::Simulator(SimulatorRun {
-                native,
-                optimal_probability,
-                max_satisfied: 0,
-                num_optimal,
-            }),
-            metrics,
-            passes,
-        })
+        self.lower(SimulatorBackend::circuit_manager(), weaver, program)
     }
 }
 
@@ -1140,17 +1128,37 @@ impl BackendRegistry {
     /// diagnostic (unknown device, malformed or oversized grid dims) for
     /// `sc:*` names and the registry's known-target list otherwise.
     pub fn resolve(&self, name: &str) -> Result<Arc<dyn Backend>, BackendError> {
-        if let Some(backend) = self.entry(name) {
-            return Ok(backend.clone());
+        match self.entry(name) {
+            Some(backend) => Ok(backend.clone()),
+            None => Ok(Arc::new(SuperconductingBackend::for_device(
+                &self.device_spec(name)?,
+            ))),
         }
-        if name.starts_with(device::FAMILY_PREFIX) {
-            let spec = DeviceSpec::resolve(name).map_err(|message| BackendError {
-                kind: BackendErrorKind::UnknownTarget,
-                message,
-            })?;
-            return Ok(Arc::new(SuperconductingBackend::for_device(&spec)));
+    }
+
+    /// The primary name of the backend [`BackendRegistry::resolve`] would
+    /// return for `name` (`sc` → `superconducting`, `sc:washington` →
+    /// `sc:eagle`), without minting a device-family backend.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`BackendRegistry::resolve`].
+    pub fn canonical_name(&self, name: &str) -> Result<String, BackendError> {
+        match self.entry(name) {
+            Some(backend) => Ok(backend.info().name),
+            None => Ok(self.device_spec(name)?.full_name()),
         }
-        Err(self.unknown_target(name))
+    }
+
+    /// The device spec of an unregistered `sc:*` name.
+    fn device_spec(&self, name: &str) -> Result<DeviceSpec, BackendError> {
+        if !name.starts_with(device::FAMILY_PREFIX) {
+            return Err(self.unknown_target(name));
+        }
+        DeviceSpec::resolve(name).map_err(|message| BackendError {
+            kind: BackendErrorKind::UnknownTarget,
+            message,
+        })
     }
 
     /// Registered backends, in registration order.
@@ -1213,6 +1221,7 @@ mod tests {
             ("sc:torino", "sc:heron"),
         ] {
             assert_eq!(registry.get(key).unwrap().info().name, name);
+            assert_eq!(registry.canonical_name(key).unwrap(), name);
         }
         assert!(registry.get("ion-trap").is_none());
         let err = registry.unknown_target("ion-trap");
@@ -1231,10 +1240,15 @@ mod tests {
         assert!(registry.get("sc:grid:4x5").is_none());
         let again = registry.resolve("sc:grid:4x5").unwrap();
         assert_eq!(again.info().name, grid.info().name);
+        assert_eq!(
+            registry.canonical_name("sc:grid:4x5").unwrap(),
+            "sc:grid:4x5"
+        );
         // Malformed and oversized grids are structured errors.
         for bad in ["sc:grid:0x4", "sc:grid:axb", "sc:grid:100x100"] {
             let err = registry.resolve(bad).err().expect("must fail");
             assert_eq!(err.kind, BackendErrorKind::UnknownTarget, "{bad}");
+            assert_eq!(registry.canonical_name(bad), Err(err), "{bad}");
         }
         let err = registry.resolve("sc:osprey").err().expect("must fail");
         assert!(err.message.contains("known devices"), "{}", err.message);
@@ -1259,18 +1273,37 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_names_its_passes() {
+    fn every_backend_names_its_passes_and_sums_their_seconds() {
         let registry = BackendRegistry::with_default_targets();
+        let weaver = Weaver::new();
+        let bell = weaver_wqasm::parse("qreg q[2];\nh q[0];\ncx q[0], q[1];\n").unwrap();
+        let workloads = [
+            Workload::MaxSat(generator::instance(8, 1)),
+            Workload::Circuit(bell),
+        ];
+        let mut compiled = 0;
         for backend in registry.backends() {
-            let names = backend.passes();
-            assert!(!names.is_empty(), "{}", backend.info().name);
-            let out = backend
-                .compile(&Weaver::new(), &generator::instance(8, 1))
-                .unwrap();
-            let ran: Vec<&'static str> = out.passes.iter().map(|p| p.name).collect();
-            assert_eq!(ran, names, "{}", backend.info().name);
-            assert!(out.passes.iter().all(|p| p.seconds >= 0.0));
+            let name = backend.info().name;
+            for workload in &workloads {
+                let out = match backend.compile_workload(&weaver, workload) {
+                    Ok(out) => out,
+                    Err(e) if e.kind == BackendErrorKind::UnsupportedWorkload => continue,
+                    Err(e) => panic!("{name}: {e}"),
+                };
+                if let Workload::MaxSat(_) = workload {
+                    let ran: Vec<&str> = out.passes.iter().map(|p| p.name).collect();
+                    assert!(!ran.is_empty(), "{name}");
+                    assert_eq!(ran, backend.passes(), "{name}");
+                }
+                assert!(out.passes.iter().all(|p| p.seconds >= 0.0), "{name}");
+                // One clock: the metric is the sum of the pass trace.
+                let sum: f64 = out.passes.iter().map(|p| p.seconds).sum();
+                assert_eq!(out.metrics.compilation_seconds, sum, "{name}");
+                compiled += 1;
+            }
         }
+        // Every target takes formulas; all but `fpqa` take circuits.
+        assert_eq!(compiled, 2 * registry.names().len() - 1);
     }
 
     #[test]
@@ -1314,8 +1347,7 @@ mod tests {
         let workload = Workload::Circuit(program.clone());
         let weaver = Weaver::new();
 
-        // FPQA declares no circuit support and rejects structurally.
-        assert!(!FpqaBackend.supports_circuits());
+        // FPQA has no circuit pipeline and rejects structurally.
         let err = FpqaBackend
             .compile_workload(&weaver, &workload)
             .unwrap_err();
@@ -1324,7 +1356,6 @@ mod tests {
         assert!(err.message.contains("circuit-capable"), "{err}");
 
         // The simulator runs it: a Bell pair peaks at p = 0.5 on two states.
-        assert!(SimulatorBackend.supports_circuits());
         let out = SimulatorBackend
             .compile_workload(&weaver, &workload)
             .unwrap();
@@ -1334,10 +1365,21 @@ mod tests {
         assert!((run.optimal_probability - 0.5).abs() < 1e-9);
         assert_eq!(run.num_optimal, 2);
         assert_eq!(run.max_satisfied, 0);
+        // Its circuit pipeline: 2 source gates, 4 native gates, one
+        // amplitude pass per native gate over 2^2 amplitudes, one readout.
+        let ran: Vec<(&str, u64)> = out.passes.iter().map(|p| (p.name, p.steps)).collect();
+        assert_eq!(
+            ran,
+            vec![
+                ("ingest-circuit", 2),
+                ("nativize", 4),
+                ("statevector", 4 << 2),
+                ("peak-probability", 4),
+            ]
+        );
 
         // Superconducting targets route it and report SWAP counts.
         let sc = SuperconductingBackend::new();
-        assert!(sc.supports_circuits());
         let out = sc.compile_workload(&weaver, &workload).unwrap();
         assert!(out.artifact.swap_count().is_some());
         let ran: Vec<&str> = out.passes.iter().map(|p| p.name).collect();

@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn oversized_superconducting_job_fails_structurally() {
         let mut job = CompileJob::from_formula("uf150", generator::instance(150, 1));
-        job.target = Target::Superconducting;
+        job.target = Target::parse("superconducting").unwrap();
         let report = engine(1).run(vec![job]);
         let err = report.results[0].artifact.as_ref().unwrap_err();
         assert_eq!(err.kind, JobErrorKind::Compile);
@@ -592,7 +592,7 @@ mod tests {
     #[test]
     fn oversized_simulator_job_fails_structurally() {
         let mut job = CompileJob::from_formula("uf50", generator::instance(50, 1));
-        job.target = Target::Simulator;
+        job.target = Target::parse("simulator").unwrap();
         let report = engine(1).run(vec![job]);
         let err = report.results[0].artifact.as_ref().unwrap_err();
         assert_eq!(err.kind, JobErrorKind::Compile);
@@ -602,30 +602,31 @@ mod tests {
     #[test]
     fn one_formula_compiles_for_every_registered_target() {
         let f = generator::instance(10, 1);
-        let jobs: Vec<CompileJob> = Target::ALL
-            .into_iter()
-            .map(|target| {
-                let mut job = CompileJob::from_formula(format!("uf10@{target}"), f.clone());
-                job.target = target.clone();
+        let names = weaver_core::BackendRegistry::global().names();
+        let jobs: Vec<CompileJob> = names
+            .iter()
+            .map(|name| {
+                let mut job = CompileJob::from_formula(format!("uf10@{name}"), f.clone());
+                job.target = Target::parse(name).unwrap();
                 job
             })
             .collect();
         let report = engine(2).run(jobs);
-        assert_eq!(report.succeeded(), 3);
-        let by_target = |t: Target| {
+        assert_eq!(report.succeeded(), names.len());
+        let by_target = |name: &str| {
             report
                 .results
                 .iter()
-                .find(|r| r.target == t)
+                .find(|r| r.target.name() == name)
                 .and_then(|r| r.artifact.as_ref().ok())
                 .expect("artifact")
         };
-        let fpqa = by_target(Target::Fpqa);
+        let fpqa = by_target("fpqa");
         assert!(fpqa.num_colors.is_some() && fpqa.swap_count.is_none());
         assert!(fpqa.wqasm.contains("@rydberg"));
-        let sc = by_target(Target::Superconducting);
+        let sc = by_target("superconducting");
         assert!(sc.swap_count.is_some() && sc.num_colors.is_none());
-        let sim = by_target(Target::Simulator);
+        let sim = by_target("simulator");
         assert!(sim.metrics.eps > 0.0 && sim.metrics.eps <= 1.0);
         assert_eq!(sim.metrics.motion_ops, 0);
         assert!(!sim.wqasm.contains("@rydberg"), "ideal path has no pulses");

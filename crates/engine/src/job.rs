@@ -1,95 +1,55 @@
 //! The batch-compilation job model: what to compile ([`JobSource`]), for
 //! which backend ([`Target`]), under which options ([`JobOptions`]) — and
 //! what came back ([`JobResult`]).
+//!
+//! A [`Target`] is a canonical [`BackendRegistry`] name, not a list kept
+//! here: `weaverc`, batch manifests and `weaverd` requests all parse target
+//! names through the global registry, and the artifact key hashes the
+//! canonical name. Adding a target means registering one backend.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 use weaver_core::cache::{fingerprint_fpqa_params, Digest, Fingerprint, COMPILER_VERSION};
-use weaver_core::{CodegenOptions, Metrics, Weaver, Workload};
+use weaver_core::{BackendRegistry, CodegenOptions, Metrics, Weaver, Workload};
 use weaver_fpqa::FpqaParams;
 use weaver_sat::qaoa::QaoaParams;
 use weaver_sat::Formula;
 
-/// Compilation backend of a job. The names and aliases mirror the
-/// [`weaver_core::backend::BackendRegistry`] keys — [`Target::parse`]
-/// resolves names and aliases through the registry, including the whole
-/// `sc:*` device family (built-in devices and parameterized
-/// `sc:grid:<w>x<h>` lattices), which lands in [`Target::ScDevice`] with
-/// its canonical registry name. The enum stays closed on purpose: each
-/// variant owns a stable artifact-cache tag (see
-/// [`CompileJob::artifact_key`]), so registering a new *core* backend also
-/// means adding a variant here, to [`Target::ALL`], [`Target::name`], and
-/// the key tag — the non-exhaustive matches below make the compiler walk
-/// you through every site.
+/// Compilation backend of a job: the canonical name of a
+/// [`BackendRegistry`] target. [`Target::parse`] builds one from any name
+/// or alias the global registry resolves — `sc` → `superconducting`,
+/// `sc:washington` → `sc:eagle`, and the open-ended `sc:grid:<w>x<h>`
+/// lattices — so a `Target` always names a backend the engine can compile
+/// for. The name is the target's whole identity: it selects the backend
+/// and keys the artifact cache ([`CompileJob::artifact_key`]), so a
+/// backend registered in [`BackendRegistry::with_default_targets`] is a
+/// batch and daemon target with no edit here.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Target {
-    /// The FPQA path (wOptimizer + wChecker).
-    Fpqa,
-    /// The superconducting path (QAOA + SABRE on IBM Washington).
-    Superconducting,
-    /// The ideal state-vector simulator (noiseless EPS reference).
-    Simulator,
-    /// A member of the `sc:*` superconducting device family, by canonical
-    /// registry name (`sc:eagle`, `sc:grid:4x5`, …). The name is the whole
-    /// device identity: it selects the coupling map deterministically, and
-    /// it participates in the artifact key so two devices never share a
-    /// cache entry.
-    ScDevice(String),
-}
+pub struct Target(Cow<'static, str>);
 
 impl Target {
-    /// The core batchable targets, in registry order. Device-family
-    /// targets are open-ended (`sc:grid:<w>x<h>`) and therefore not
-    /// enumerable here; see [`Target::builtin_devices`].
-    pub const ALL: [Target; 3] = [Target::Fpqa, Target::Superconducting, Target::Simulator];
-
-    /// The built-in `sc:*` device-family targets, in registry order.
-    pub fn builtin_devices() -> Vec<Target> {
-        weaver_superconducting::DeviceSpec::builtin()
-            .into_iter()
-            .map(|d| Target::ScDevice(d.full_name()))
-            .collect()
-    }
+    /// The FPQA path (wOptimizer + wChecker), the default target.
+    #[allow(non_upper_case_globals)] // public API: callers write `Target::Fpqa`
+    pub const Fpqa: Target = Target(Cow::Borrowed("fpqa"));
 
     /// CLI / JSONL name (the registry's primary key).
     pub fn name(&self) -> &str {
-        match self {
-            Target::Fpqa => "fpqa",
-            Target::Superconducting => "superconducting",
-            Target::Simulator => "simulator",
-            Target::ScDevice(name) => name,
-        }
+        &self.0
     }
 
-    /// Parses a CLI / manifest target name or alias via the backend
-    /// registry; `sc:*` names (aliases like `sc:washington` included, and
-    /// parameterized grids) canonicalize into [`Target::ScDevice`].
+    /// Parses a CLI / manifest / request target name or alias into its
+    /// canonical registry name ([`BackendRegistry::canonical_name`]).
+    ///
+    /// # Errors
+    ///
+    /// The registry's one-line diagnostic for an unknown target or a bad
+    /// `sc:*` device name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        if s.starts_with(weaver_superconducting::device::FAMILY_PREFIX) {
-            // Canonicalize via the declarative spec alone — resolving
-            // through the registry would mint a whole backend (whose
-            // constructor eagerly builds the coupling map's all-pairs
-            // distance table) just to read its name.
-            let spec = weaver_superconducting::DeviceSpec::resolve(s)?;
-            return Ok(Target::ScDevice(spec.full_name()));
-        }
-        let registry = weaver_core::BackendRegistry::global();
-        let canonical = registry
-            .get(s)
-            .ok_or_else(|| registry.unknown_target(s).message)?
-            .info()
-            .name;
-        Target::ALL
-            .into_iter()
-            .find(|t| t.name() == canonical)
-            .ok_or_else(|| {
-                // A backend registered outside the batchable set (e.g. a
-                // custom target in a local registry) is never advertised.
-                format!(
-                    "target `{canonical}` is not batchable (batchable targets: {}, sc:*)",
-                    Target::ALL.map(|t| t.name().to_string()).join(", ")
-                )
-            })
+        BackendRegistry::global()
+            .canonical_name(s)
+            .map(|name| Target(Cow::Owned(name)))
+            .map_err(|e| e.message)
     }
 }
 
@@ -255,12 +215,12 @@ impl CompileJob {
     }
 
     /// Content-addressed artifact key of this job for `workload`:
-    /// BLAKE2s-256 over the canonicalized workload, the target and its
-    /// parameters, every option that can influence the artifact, and the
-    /// compiler version. Device-family targets additionally hash their
-    /// canonical device name (which encodes the topology, `sc:grid:4x5`
-    /// included), so `sc:eagle` and `sc:heron` can never collide. The
-    /// workload *source* (file path vs inline) and the *frontend* that
+    /// BLAKE2s-256 over the canonicalized workload, the target's canonical
+    /// registry name (which for the `sc:*` family encodes the topology,
+    /// `sc:grid:4x5` included, so `sc:eagle` and `sc:heron` can never
+    /// collide), the FPQA parameters, every option that can influence the
+    /// artifact, and the compiler version. The workload *source* (file
+    /// path vs inline) and the *frontend* that
     /// parsed it deliberately do not participate — identical content hits
     /// regardless of origin or format (a formula fed as `.cnf` and the
     /// same formula fed programmatically share one artifact).
@@ -268,12 +228,7 @@ impl CompileJob {
         let mut fp = Fingerprint::new();
         fp.tag(0xA7).str(COMPILER_VERSION);
         fp.bytes(&workload.canonical_bytes());
-        match &self.target {
-            Target::Fpqa => fp.tag(1),
-            Target::Superconducting => fp.tag(2),
-            Target::Simulator => fp.tag(3),
-            Target::ScDevice(name) => fp.tag(4).str(name),
-        };
+        fp.str(self.target.name());
         fingerprint_fpqa_params(&mut fp, &self.options.fpqa_params());
         fp.bool(self.options.compression)
             .bool(self.options.parallel_shuttling)
@@ -482,7 +437,7 @@ mod tests {
         let other = Workload::MaxSat(generator::instance(20, 2));
         assert_ne!(key, base.artifact_key(&other));
         let mut sc = base.clone();
-        sc.target = Target::Superconducting;
+        sc.target = Target::parse("superconducting").unwrap();
         assert_ne!(key, sc.artifact_key(&w));
         let mut opts = base.clone();
         opts.options.gamma += 1e-12;
@@ -509,14 +464,18 @@ mod tests {
 
     #[test]
     fn target_parses_cli_names() {
+        for (input, canonical) in [
+            ("fpqa", "fpqa"),
+            ("sc", "superconducting"),
+            ("superconducting", "superconducting"),
+            ("simulator", "simulator"),
+            ("sim", "simulator"),
+        ] {
+            let target = Target::parse(input).unwrap();
+            assert_eq!(target.name(), canonical, "{input}");
+            assert_eq!(target.to_string(), canonical, "{input}");
+        }
         assert_eq!(Target::parse("fpqa").unwrap(), Target::Fpqa);
-        assert_eq!(Target::parse("sc").unwrap(), Target::Superconducting);
-        assert_eq!(
-            Target::parse("superconducting").unwrap(),
-            Target::Superconducting
-        );
-        assert_eq!(Target::parse("simulator").unwrap(), Target::Simulator);
-        assert_eq!(Target::parse("sim").unwrap(), Target::Simulator);
         let err = Target::parse("ion-trap").unwrap_err();
         assert!(
             err.contains("known targets: fpqa, superconducting, simulator"),
@@ -534,11 +493,8 @@ mod tests {
             ("sc:heron", "sc:heron"),
             ("sc:grid:4x5", "sc:grid:4x5"),
         ] {
-            let target = Target::parse(input).unwrap();
-            assert_eq!(target, Target::ScDevice(canonical.to_string()), "{input}");
-            assert_eq!(target.name(), canonical);
+            assert_eq!(Target::parse(input).unwrap().name(), canonical, "{input}");
         }
-        assert_eq!(Target::builtin_devices().len(), 4);
         for bad in ["sc:osprey", "sc:grid:0x4", "sc:grid:"] {
             let err = Target::parse(bad).unwrap_err();
             assert!(err.contains(bad), "{err}");
@@ -549,27 +505,26 @@ mod tests {
     fn artifact_key_separates_every_device() {
         let f = generator::instance(10, 1);
         let w = Workload::MaxSat(f.clone());
-        let mut keys = std::collections::HashSet::new();
-        let mut targets = Target::builtin_devices();
-        targets.push(Target::ScDevice("sc:grid:4x5".to_string()));
-        targets.push(Target::ScDevice("sc:grid:5x4".to_string()));
-        targets.push(Target::Superconducting);
-        for target in targets {
+        let key = |name: &str| {
             let mut job = CompileJob::from_formula("t", f.clone());
-            job.target = target.clone();
-            assert!(keys.insert(job.artifact_key(&w)), "{target} key collides");
+            job.target = Target::parse(name).unwrap();
+            job.artifact_key(&w)
+        };
+        // Aliases name the same target, so they share one artifact.
+        for (alias, name) in [
+            ("sc", "superconducting"),
+            ("sim", "simulator"),
+            ("sc:washington", "sc:eagle"),
+            ("sc:torino", "sc:heron"),
+        ] {
+            assert_eq!(key(alias), key(name), "{alias}");
         }
-    }
-
-    #[test]
-    fn artifact_key_separates_all_targets() {
-        let f = generator::instance(10, 1);
-        let w = Workload::MaxSat(f.clone());
+        // Distinct targets never do.
+        let mut names = BackendRegistry::global().names();
+        names.extend(["sc:grid:4x5".to_string(), "sc:grid:5x4".to_string()]);
         let mut keys = std::collections::HashSet::new();
-        for target in Target::ALL {
-            let mut job = CompileJob::from_formula("t", f.clone());
-            job.target = target.clone();
-            assert!(keys.insert(job.artifact_key(&w)), "{target} key collides");
+        for name in &names {
+            assert!(keys.insert(key(name)), "{name} key collides");
         }
     }
 }

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Recognized keys: `target` (any backend-registry name or alias —
-//! `fpqa`, `superconducting`/`sc`, `simulator`/`sim`), `frontend` (any
+//! `fpqa`, `superconducting`/`sc`, `simulator`/`sim`, `sc:eagle`,
+//! `sc:grid:<w>x<h>`, …), `frontend` (any
 //! frontend-registry name or alias — `dimacs`/`wcnf`, `maxcut`/`mc`,
 //! `wqasm`/`wq`; unset infers from the file extension, then content),
 //! `check`, `compression`, `parallel-shuttling`, `dsatur` (booleans),
@@ -205,12 +206,12 @@ mod tests {
         let jobs = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap();
         assert_eq!(jobs.len(), 4);
         assert_eq!(jobs[0].target, Target::Fpqa);
-        assert_eq!(jobs[1].target, Target::Superconducting);
+        assert_eq!(jobs[1].target.name(), "superconducting");
         assert!(jobs[1].options.check);
         assert_eq!(jobs[1].options.gamma, 0.9);
         assert!(!jobs[2].options.compression);
         assert_eq!(jobs[2].options.ccz_fidelity, Some(0.95));
-        assert_eq!(jobs[3].target, Target::Simulator);
+        assert_eq!(jobs[3].target.name(), "simulator");
         assert!(matches!(
             &jobs[2].source,
             JobSource::Path(p) if p.ends_with("sub/three.cnf")

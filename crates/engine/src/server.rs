@@ -12,7 +12,10 @@
 //!          | {"verb":"ping"} | {"verb":"stats"} | {"verb":"shutdown"}
 //! ```
 //!
-//! Every compile request is answered by exactly one `job` record (the
+//! `target`, `frontend` and `name` are strings, `emit` and the boolean
+//! options booleans, `gamma`, `beta` and `ccz-fidelity` numbers; a field
+//! of another JSON type is answered with a `malformed` error naming it.
+//! Every accepted compile request is answered by exactly one `job` record (the
 //! same JSON shape `weaverc batch` streams, plus the request `id` and —
 //! with `"emit":true` — the compiled `wqasm` text), in completion order:
 //! concurrent clients multiplex onto a bounded [`ServicePool`] and stream
@@ -664,32 +667,16 @@ fn handle_compile(
         ));
         return;
     };
-    let target = match request.str_field("target") {
-        None => Target::Fpqa,
-        Some(t) => match Target::parse(t) {
-            Ok(t) => t,
-            Err(e) => {
-                let _ = reply.send(error_record(Some(id), "unknown-target", &e));
-                return;
+    let (job, emit) = match compile_job(request, id, text) {
+        Ok(parsed) => parsed,
+        Err((kind, message)) => {
+            if kind == "malformed" {
+                shared.metrics.malformed_total.inc();
             }
-        },
+            let _ = reply.send(error_record(Some(id), kind, &message));
+            return;
+        }
     };
-    let name = request
-        .str_field("name")
-        .map_or_else(|| format!("request-{id}"), str::to_string);
-    let job = CompileJob {
-        source: JobSource::Inline {
-            name,
-            text: text.to_string(),
-        },
-        frontend: request.str_field("frontend").map(str::to_string),
-        target,
-        options: job_options(request),
-    };
-    let emit = request
-        .get("emit")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
     if shared.draining.load(Ordering::SeqCst) {
         let _ = reply.send(error_record(
             Some(id),
@@ -731,32 +718,58 @@ fn handle_compile(
     }
 }
 
-/// Maps the manifest-style dashed option keys onto [`crate::JobOptions`].
-fn job_options(request: &JsonValue) -> crate::JobOptions {
-    let mut options = crate::JobOptions::default();
-    let flag = |key: &str| request.get(key).and_then(JsonValue::as_bool);
-    if let Some(v) = flag("check") {
-        options.check = v;
-    }
-    if let Some(v) = flag("compression") {
-        options.compression = v;
-    }
-    if let Some(v) = flag("parallel-shuttling") {
-        options.parallel_shuttling = v;
-    }
-    if let Some(v) = flag("dsatur") {
-        options.dsatur = v;
-    }
-    if let Some(v) = request.get("gamma").and_then(JsonValue::as_f64) {
-        options.gamma = v;
-    }
-    if let Some(v) = request.get("beta").and_then(JsonValue::as_f64) {
-        options.beta = v;
-    }
-    if let Some(v) = request.get("ccz-fidelity").and_then(JsonValue::as_f64) {
-        options.ccz_fidelity = Some(v);
-    }
-    options
+/// Builds the job a compile request describes (options under the
+/// manifest's dashed keys), plus its `emit` flag. The error carries the
+/// record's `error_kind`: `malformed`, naming the field, when a field holds
+/// the wrong JSON type (as a manifest line with a bad value is rejected),
+/// or `unknown-target`.
+fn compile_job(
+    request: &JsonValue,
+    id: u64,
+    text: &str,
+) -> Result<(CompileJob, bool), (&'static str, String)> {
+    let string = |key| typed(request, key, JsonValue::as_str, "string");
+    let flag = |key| typed(request, key, JsonValue::as_bool, "boolean");
+    let number = |key| typed(request, key, JsonValue::as_f64, "number");
+    let target = match string("target")? {
+        None => Target::Fpqa,
+        Some(t) => Target::parse(t).map_err(|e| ("unknown-target", e))?,
+    };
+    let defaults = crate::JobOptions::default();
+    let job = CompileJob {
+        source: JobSource::Inline {
+            name: string("name")?.map_or_else(|| format!("request-{id}"), str::to_string),
+            text: text.to_string(),
+        },
+        frontend: string("frontend")?.map(str::to_string),
+        target,
+        options: crate::JobOptions {
+            check: flag("check")?.unwrap_or(defaults.check),
+            compression: flag("compression")?.unwrap_or(defaults.compression),
+            parallel_shuttling: flag("parallel-shuttling")?.unwrap_or(defaults.parallel_shuttling),
+            dsatur: flag("dsatur")?.unwrap_or(defaults.dsatur),
+            gamma: number("gamma")?.unwrap_or(defaults.gamma),
+            beta: number("beta")?.unwrap_or(defaults.beta),
+            ccz_fidelity: number("ccz-fidelity")?,
+        },
+    };
+    Ok((job, flag("emit")?.unwrap_or(false)))
+}
+
+/// An optional request field: `None` when absent, a `malformed` error
+/// naming the field when it holds anything but a `kind` that `read`
+/// accepts.
+fn typed<'a, T>(
+    request: &'a JsonValue,
+    key: &str,
+    read: fn(&'a JsonValue) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, (&'static str, String)> {
+    let malformed = || ("malformed", format!("field `{key}` must be a {kind}"));
+    request
+        .get(key)
+        .map(|value| read(value).ok_or_else(malformed))
+        .transpose()
 }
 
 fn error_record(id: Option<u64>, kind: &str, message: &str) -> String {

@@ -1008,14 +1008,9 @@ fn print_profile(trace: &weaver::obs::Trace) {
     rows.sort_by_key(|row| std::cmp::Reverse(row.1.total_us));
 
     let quantile_ms = |name: &str, q: f64| -> String {
-        weaver::obs::metrics::histogram_with(
-            "weaver_pass_duration_seconds",
-            "Wall-clock duration of individual compiler passes.",
-            &[("pass", name)],
-            &weaver::obs::metrics::DEFAULT_LATENCY_BUCKETS,
-        )
-        .quantile(q)
-        .map_or_else(|| "-".to_string(), |v| format!("{:.3}", v * 1e3))
+        weaver::core::backend::pass_duration_histogram(name)
+            .quantile(q)
+            .map_or_else(|| "-".to_string(), |v| format!("{:.3}", v * 1e3))
     };
     println!(
         "{:<26} {:>7} {:>11} {:>11} {:>11} {:>11}",

@@ -170,9 +170,9 @@ fn engine_batch_over_the_family_is_deterministic_and_cached() {
 fn device_keys_separate_from_core_targets() {
     let formula = generator::instance(10, 1);
     let mut keys = std::collections::HashSet::new();
-    let mut targets = vec![Target::Fpqa, Target::Superconducting, Target::Simulator];
-    targets.extend(Target::builtin_devices());
-    targets.push(Target::ScDevice("sc:grid:4x5".to_string()));
+    let mut names = weaver::core::BackendRegistry::global().names();
+    names.push("sc:grid:4x5".to_string());
+    let targets = names.iter().map(|n| Target::parse(n).unwrap());
     let workload = weaver::core::Workload::MaxSat(formula.clone());
     for target in targets {
         let mut job = CompileJob::from_formula("key-probe", formula.clone());

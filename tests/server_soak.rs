@@ -275,6 +275,51 @@ fn hostile_clients_only_kill_their_own_connection() {
         );
     }
 
+    // A compile field of the wrong JSON type is rejected by name, like a
+    // manifest line with a bad value, never read as the field's default.
+    {
+        let base = || {
+            JsonObject::new()
+                .str("verb", "compile")
+                .str("text", "p cnf 1 1\n1 0\n")
+        };
+        let mistyped = [
+            ("target", base().u64("target", 7)),
+            ("frontend", base().bool("frontend", true)),
+            ("name", base().u64("name", 3)),
+            ("emit", base().str("emit", "yes")),
+            ("check", base().str("check", "true")),
+            ("compression", base().u64("compression", 0)),
+            (
+                "parallel-shuttling",
+                base().str("parallel-shuttling", "false"),
+            ),
+            ("dsatur", base().u64("dsatur", 1)),
+            ("gamma", base().str("gamma", "0.7")),
+            ("beta", base().bool("beta", false)),
+            ("ccz-fidelity", base().str("ccz-fidelity", "0.99")),
+        ];
+        let (fields, requests): (Vec<&str>, Vec<String>) = mistyped
+            .into_iter()
+            .zip(100u64..)
+            .map(|((field, request), id)| (field, request.u64("id", id).finish()))
+            .unzip();
+        let records = roundtrip(&addr, &requests);
+        for (field, id) in fields.into_iter().zip(100u64..) {
+            let record = records
+                .iter()
+                .find(|r| r.get("id").and_then(JsonValue::as_u64) == Some(id))
+                .expect("one record per request");
+            assert_eq!(record.str_field("kind"), Some("error"), "{field}");
+            assert_eq!(record.str_field("error_kind"), Some("malformed"), "{field}");
+            let message = record.str_field("error").unwrap();
+            assert!(
+                message.contains(&format!("`{field}`")),
+                "{field}: {message}"
+            );
+        }
+    }
+
     // A hostile length prefix (1 GiB) violates framing: the server
     // answers with a malformed error and hangs up — but only on *this*
     // connection.
