@@ -13,9 +13,9 @@
 //! count for the batch sweep (0 or absent = all cores).
 //!
 //! The size-sweep figures (8, 10a/b, 11, 12) are compiled once as a single
-//! engine batch (`SizeSweep`) and then rendered from the cached points, so
-//! requesting several figures never recompiles a point and the whole
-//! evaluation parallelizes across `--jobs` workers.
+//! job list on the engine's pool (`SizeSweep`) and then rendered from the
+//! cached points, so requesting several figures never recompiles a point
+//! and the whole evaluation parallelizes across `--jobs` workers.
 //!
 //! Beyond the paper's figures, `weighted` reruns the 20-variable suite with
 //! per-clause weights (the WCNF front-end path) and `graphs` sweeps random

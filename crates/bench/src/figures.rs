@@ -4,7 +4,7 @@
 //! rows/series match the paper's plots; the `figures` binary prints them.
 //!
 //! The size-sweep figures (8, 10a/b, 11, 12) read their points from a
-//! precompiled [`SizeSweep`] — one engine batch over the whole evaluation —
+//! precompiled [`SizeSweep`] — one job list over the whole evaluation —
 //! so regenerating several figures never recompiles a point twice and the
 //! sweep parallelizes under `--jobs N`. The modes that need per-point
 //! parameter or workload variations (`fig10c`'s fidelity sweep, `weighted`,

@@ -1,5 +1,4 @@
-//! Scaling benchmark for the figures-on-engine batch (`figures
-//! bench-figures`).
+//! Scaling benchmark for the figures sweep (`figures bench-figures`).
 //!
 //! Three measurements land in the tracked `BENCH_figures.json` baseline:
 //!

@@ -5,7 +5,7 @@
 //! superconducting backend holds 127 qubits).
 
 use weaver_baselines::{Atomique, Dpqa, FpqaCompiler, Geyser};
-use weaver_core::{Metrics, Weaver};
+use weaver_core::{Metrics, PassStat, Weaver};
 use weaver_fpqa::FpqaParams;
 use weaver_sat::{generator, Formula};
 
@@ -78,36 +78,40 @@ impl RunOutcome {
 
 /// Runs one system on one formula with the paper's applicability rules.
 /// Weaver and the superconducting baseline dispatch through the shared
-/// backend registry ([`Weaver::compile_target`]); the FPQA baselines keep
-/// their own [`FpqaCompiler`] interface.
-pub fn run_compiler(id: CompilerId, formula: &Formula, params: &FpqaParams) -> RunOutcome {
-    match id {
-        CompilerId::Weaver => {
-            let weaver = Weaver::new().with_fpqa_params(params.clone());
-            match weaver.compile_target("fpqa", formula) {
-                Ok(out) => RunOutcome::Done(out.metrics),
-                Err(e) => RunOutcome::NotApplicable(e.message),
-            }
-        }
-        CompilerId::Superconducting => {
-            match Weaver::new().compile_target("superconducting", formula) {
-                Ok(out) => RunOutcome::Done(out.metrics),
-                Err(e) => RunOutcome::NotApplicable(e.message),
-            }
-        }
-        CompilerId::Atomique => match Atomique::new(params.clone()).compile(formula) {
-            Ok(out) => RunOutcome::Done(out.metrics),
-            Err(t) => RunOutcome::TimedOut(t.to_string()),
-        },
-        CompilerId::Dpqa => match Dpqa::new(params.clone()).compile(formula) {
-            Ok(out) => RunOutcome::Done(out.metrics),
-            Err(t) => RunOutcome::TimedOut(t.to_string()),
-        },
-        CompilerId::Geyser => match Geyser::new(params.clone()).compile(formula) {
-            Ok(out) => RunOutcome::Done(out.metrics),
-            Err(t) => RunOutcome::TimedOut(t.to_string()),
-        },
+/// backend registry ([`Weaver::compile_target`]) and also return the
+/// compile's per-pass records; the FPQA baselines keep their own
+/// [`FpqaCompiler`] interface and return no pass records.
+pub fn run_point(
+    id: CompilerId,
+    formula: &Formula,
+    params: &FpqaParams,
+) -> (RunOutcome, Vec<PassStat>) {
+    let compiled = match id {
+        CompilerId::Weaver => Weaver::new()
+            .with_fpqa_params(params.clone())
+            .compile_target("fpqa", formula),
+        CompilerId::Superconducting => Weaver::new().compile_target("superconducting", formula),
+        CompilerId::Atomique => return baseline(&Atomique::new(params.clone()), formula),
+        CompilerId::Dpqa => return baseline(&Dpqa::new(params.clone()), formula),
+        CompilerId::Geyser => return baseline(&Geyser::new(params.clone()), formula),
+    };
+    match compiled {
+        Ok(out) => (RunOutcome::Done(out.metrics), out.passes),
+        Err(e) => (RunOutcome::NotApplicable(e.message), Vec::new()),
     }
+}
+
+fn baseline(compiler: &impl FpqaCompiler, formula: &Formula) -> (RunOutcome, Vec<PassStat>) {
+    let outcome = match compiler.compile(formula) {
+        Ok(out) => RunOutcome::Done(out.metrics),
+        Err(t) => RunOutcome::TimedOut(t.to_string()),
+    };
+    (outcome, Vec::new())
+}
+
+/// Runs one point like [`run_point`] and keeps only its outcome.
+pub fn run_compiler(id: CompilerId, formula: &Formula, params: &FpqaParams) -> RunOutcome {
+    run_point(id, formula, params).0
 }
 
 /// The benchmark suite configuration.

@@ -11,5 +11,5 @@ pub mod harness;
 pub mod simbench;
 pub mod sweep;
 
-pub use harness::{run_compiler, CompilerId, RunOutcome, Suite};
+pub use harness::{run_compiler, run_point, CompilerId, RunOutcome, Suite};
 pub use sweep::SizeSweep;

@@ -1,24 +1,26 @@
-//! Figures-on-engine: expands the paper's size sweep ({20..250} variables ×
-//! 10 seeds × all five systems) into batch jobs and runs them on
-//! `weaver-engine`'s work-stealing pool, so every figure table is
-//! reassembled from one deterministic batch instead of recompiling each
+//! Figures from one job list: expands the paper's size sweep ({20..250}
+//! variables × 10 seeds × all five systems) into one list of points and
+//! runs it on `weaver-engine`'s [`pool::run_jobs`], so every figure table
+//! is reassembled from one deterministic batch instead of recompiling each
 //! point inline.
 //!
-//! Weaver and the superconducting baseline become [`CompileJob`]s on
-//! [`Engine::run`] (the same path `weaverc batch` takes); the three FPQA
-//! baselines keep their [`weaver_baselines::FpqaCompiler`] interface but
-//! fan out over the identical [`weaver_engine::pool::run_jobs`] pool, so a
-//! single `--jobs N` knob scales the whole evaluation. Results land in a
-//! point map keyed by *(system, size, variant)*; because both the engine
-//! and the raw pool return submission-ordered, scheduling-independent
-//! results, the reassembled tables are byte-identical across worker counts.
+//! Each point is one [`run_point`] call, the same call the inline figures
+//! and [`crate::run_compiler`] make: Weaver and the superconducting baseline
+//! compile through the backend registry, and the three FPQA baselines
+//! through their [`weaver_baselines::FpqaCompiler`] interface. The list
+//! runs largest size first, so the longest points start first and no long
+//! straggler is left for the end, and one `--jobs N` knob scales the whole
+//! evaluation. Results land in a point map keyed by *(system, size,
+//! variant)*; because the pool returns submission-ordered,
+//! scheduling-independent results, the reassembled tables are
+//! byte-identical across worker counts.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
-use crate::harness::{run_compiler, CompilerId, RunOutcome, Suite};
+use crate::harness::{run_point, CompilerId, RunOutcome, Suite};
 use weaver_core::Metrics;
-use weaver_engine::{pool, CompileJob, Engine, EngineConfig, Target};
+use weaver_engine::pool;
 use weaver_sat::generator;
 
 /// The paper's evaluation, precompiled as one batch.
@@ -30,104 +32,56 @@ use weaver_sat::generator;
 pub struct SizeSweep {
     suite: Suite,
     outcomes: HashMap<(CompilerId, usize, usize), RunOutcome>,
-    /// End-to-end wall-clock seconds for the whole sweep (engine batch plus
-    /// the baseline pool phase).
+    /// End-to-end wall-clock seconds for the whole sweep.
     pub wall_seconds: f64,
     /// Worker threads used (resolved: `0` becomes the core count).
     pub workers: usize,
-    /// Points run through [`Engine::run`] (Weaver + superconducting).
-    pub engine_jobs: usize,
-    /// Points run through [`pool::run_jobs`] (the FPQA baselines).
-    pub baseline_jobs: usize,
-    /// Summed per-job compile seconds by size, across all systems — the
-    /// per-size cost profile of the sweep (CPU seconds, not wall).
+    /// Summed per-point `compilation_seconds` by size, across all systems
+    /// — the per-size cost profile of the sweep (CPU seconds, not wall).
     pub per_size_seconds: BTreeMap<usize, f64>,
-    /// Summed self-time by lowering pass, aggregated over every engine
-    /// artifact's `weaver-obs` pass records.
+    /// Summed self-time by lowering pass, aggregated over the pass records
+    /// of every Weaver and superconducting point.
     pub pass_seconds: BTreeMap<String, f64>,
 }
 
 impl SizeSweep {
     /// Runs the whole suite on `workers` threads (`0` = all cores).
     ///
-    /// The engine phase disables the artifact cache so every point measures
-    /// a genuine compile; the suite's instances are all distinct anyway, so
-    /// nothing could hit. Only the suite's CCZ fidelity travels into
-    /// [`CompileJob`] options — the engine job model intentionally exposes
-    /// no other FPQA parameter, matching `weaverc`.
+    /// Every point compiles from scratch: no cache sits in front of the
+    /// compilers.
     pub fn run(suite: &Suite, workers: usize) -> SizeSweep {
         let start = Instant::now();
+        let workers = if workers == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            workers
+        };
 
-        // Phase 1 — Weaver and the superconducting baseline as engine jobs.
-        let engine_systems = [
-            (CompilerId::Weaver, Target::Fpqa),
-            (
-                CompilerId::Superconducting,
-                Target::parse("superconducting").expect("a core target"),
-            ),
-        ];
-        let mut jobs = Vec::new();
-        let mut keys = Vec::new();
-        for &size in &suite.sizes {
+        let mut sizes = suite.sizes.clone();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        let mut points = Vec::new();
+        for size in sizes {
             for variant in 1..=suite.variants {
-                for (id, target) in engine_systems.iter().cloned() {
-                    let mut job = CompileJob::from_formula(
-                        generator::instance_name(size, variant),
-                        generator::instance(size, variant),
-                    );
-                    job.target = target;
-                    job.options.ccz_fidelity = Some(suite.params.fidelity_ccz);
-                    jobs.push(job);
-                    keys.push((id, size, variant));
+                for id in CompilerId::ALL {
+                    points.push((id, size, variant));
                 }
             }
         }
-        let engine = Engine::new(EngineConfig {
-            jobs: workers,
-            use_cache: false,
-            ..EngineConfig::default()
+        let params = &suite.params;
+        let results = pool::run_jobs(points.clone(), workers, |_, (id, size, variant)| {
+            run_point(id, &generator::instance(size, variant), params)
         });
-        let engine_jobs = jobs.len();
-        let report = engine.run(jobs);
-        let resolved_workers = report.workers;
 
         let mut outcomes = HashMap::new();
         let mut per_size_seconds: BTreeMap<usize, f64> =
             suite.sizes.iter().map(|&s| (s, 0.0)).collect();
         let mut pass_seconds: BTreeMap<String, f64> = BTreeMap::new();
-        for (key, result) in keys.iter().zip(&report.results) {
-            *per_size_seconds.entry(key.1).or_insert(0.0) += result.timings.total_seconds;
-            let outcome = match &result.artifact {
-                Ok(artifact) => {
-                    for pass in &artifact.passes {
-                        *pass_seconds.entry(pass.name.clone()).or_insert(0.0) += pass.seconds;
-                    }
-                    RunOutcome::Done(artifact.metrics.clone())
-                }
-                Err(e) => RunOutcome::NotApplicable(e.message.clone()),
-            };
-            outcomes.insert(*key, outcome);
-        }
-
-        // Phase 2 — the FPQA baselines on the same work-stealing pool.
-        let baseline_systems = [CompilerId::Atomique, CompilerId::Dpqa, CompilerId::Geyser];
-        let mut items = Vec::new();
-        for &size in &suite.sizes {
-            for variant in 1..=suite.variants {
-                for id in baseline_systems {
-                    items.push((id, size, variant));
-                }
-            }
-        }
-        let baseline_jobs = items.len();
-        let params = &suite.params;
-        let results = pool::run_jobs(items.clone(), resolved_workers, |_, (id, size, variant)| {
-            let f = generator::instance(size, variant);
-            run_compiler(id, &f, params)
-        });
-        for (key, outcome) in items.into_iter().zip(results) {
+        for (key, (outcome, passes)) in points.into_iter().zip(results) {
             if let Some(m) = outcome.metrics() {
                 *per_size_seconds.entry(key.1).or_insert(0.0) += m.compilation_seconds;
+            }
+            for pass in passes {
+                *pass_seconds.entry(pass.name.to_string()).or_insert(0.0) += pass.seconds;
             }
             outcomes.insert(key, outcome);
         }
@@ -136,9 +90,7 @@ impl SizeSweep {
             suite: suite.clone(),
             outcomes,
             wall_seconds: start.elapsed().as_secs_f64(),
-            workers: resolved_workers,
-            engine_jobs,
-            baseline_jobs,
+            workers,
             per_size_seconds,
             pass_seconds,
         }
@@ -151,7 +103,7 @@ impl SizeSweep {
 
     /// Total points in the sweep.
     pub fn jobs(&self) -> usize {
-        self.engine_jobs + self.baseline_jobs
+        self.outcomes.len()
     }
 
     /// Sweep throughput in points per second.
@@ -195,6 +147,7 @@ impl SizeSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_compiler;
     use weaver_fpqa::FpqaParams;
 
     fn tiny() -> Suite {
@@ -208,8 +161,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_point() {
         let sweep = SizeSweep::run(&tiny(), 1);
-        assert_eq!(sweep.engine_jobs, 4, "2 variants × 2 engine systems");
-        assert_eq!(sweep.baseline_jobs, 6, "2 variants × 3 baselines");
+        assert_eq!(sweep.jobs(), 10, "2 variants × 5 systems");
         for id in CompilerId::ALL {
             for variant in 1..=2 {
                 assert!(
@@ -223,7 +175,7 @@ mod tests {
         assert!(sweep.per_size_seconds[&20] > 0.0);
         assert!(
             !sweep.pass_seconds.is_empty(),
-            "engine artifacts carry pass records"
+            "Weaver and superconducting points carry pass records"
         );
     }
 

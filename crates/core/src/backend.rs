@@ -244,7 +244,7 @@ fn ingest_circuit<S: CircuitLowering>(
             message: e.to_string(),
         })?;
     let (max_qubits, slot) = state.circuit_slot();
-    BackendError::check_width(circuit.num_qubits(), max_qubits)?;
+    BackendError::check_width(circuit.num_qubits(), "qubits", max_qubits)?;
     let steps = circuit.gate_count() as u64;
     *slot = Some(circuit);
     Ok(steps)
@@ -385,16 +385,17 @@ pub struct BackendError {
 }
 
 impl BackendError {
-    /// Checks that a `width`-qubit register fits a `max_qubits` target;
+    /// Checks that a workload `width` wide fits a `max_qubits` target;
     /// the error is [`BackendErrorKind::Unsupported`], in the engine's
-    /// canonical wording.
-    pub fn check_width(width: usize, max_qubits: usize) -> Result<(), Self> {
+    /// canonical wording, counting the width in `unit` (`variables` for a
+    /// formula, `qubits` for a circuit).
+    pub fn check_width(width: usize, unit: &str, max_qubits: usize) -> Result<(), Self> {
         if width <= max_qubits {
             return Ok(());
         }
         Err(BackendError {
             kind: BackendErrorKind::Unsupported,
-            message: format!("{width} variables exceed the {max_qubits}-qubit backend"),
+            message: format!("{width} {unit} exceed the {max_qubits}-qubit backend"),
         })
     }
 
@@ -805,7 +806,7 @@ impl Backend for SuperconductingBackend {
     }
 
     fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
-        BackendError::check_width(formula.num_vars(), self.coupling.num_qubits())?;
+        BackendError::check_width(formula.num_vars(), "variables", self.coupling.num_qubits())?;
         self.lower(SuperconductingBackend::manager(), weaver, formula)
     }
 
@@ -1012,7 +1013,11 @@ impl Backend for SimulatorBackend {
     }
 
     fn compile(&self, weaver: &Weaver, formula: &Formula) -> Result<CompileOutput, BackendError> {
-        BackendError::check_width(formula.num_vars(), SimulatorBackend::MAX_QUBITS)?;
+        BackendError::check_width(
+            formula.num_vars(),
+            "variables",
+            SimulatorBackend::MAX_QUBITS,
+        )?;
         self.lower(SimulatorBackend::manager(), weaver, formula)
     }
 
@@ -1404,7 +1409,7 @@ mod tests {
             .compile_circuit(&Weaver::new(), &program)
             .unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::Unsupported);
-        assert!(err.message.contains("exceed the 20-qubit backend"));
+        assert_eq!(err.message, "25 qubits exceed the 20-qubit backend");
     }
 
     #[test]

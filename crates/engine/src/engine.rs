@@ -1,4 +1,4 @@
-//! The batch engine: drives [`CompileJob`]s through the work-stealing pool,
+//! The batch engine: drives [`CompileJob`]s through the worker pool,
 //! consults the artifact cache, contains per-job panics, and reports
 //! structured results.
 

@@ -7,8 +7,9 @@
 //! * [`job`] — the job model: a [`CompileJob`] is *workload source ×
 //!   target × options*, and a [`JobResult`] carries the artifact, cache
 //!   outcome, and per-stage timings,
-//! * [`pool`] — a work-stealing thread-pool driver with deterministic,
-//!   order-independent results,
+//! * [`pool`] — thread pools with one ordered queue each: a batch driver
+//!   with deterministic, order-independent results, and the daemon's
+//!   bounded service pool,
 //! * [`cache`] — the content-addressed [`ArtifactCache`]: an in-memory LRU
 //!   tier plus an optional on-disk tier, keyed by BLAKE2s-256 over the
 //!   canonical formula, target parameters, options, and compiler version;

@@ -1,35 +1,34 @@
-//! A work-stealing thread-pool driver for batch jobs.
+//! The engine's thread pools: one ordered queue per pool.
 //!
-//! Jobs are seeded round-robin into per-worker deques; an idle worker pops
-//! from the front of its own deque and, when empty, steals from the back of
-//! the fullest other deque. Because no job spawns further jobs, "every
-//! deque empty" is a stable termination condition. Results land in a slot
-//! array indexed by submission order, so the output is deterministic and
-//! independent of scheduling, thread count, and completion order.
+//! [`run_jobs`] is the one-shot batch driver: its workers take `(index,
+//! item)` pairs in submission order from one shared cursor, and each result
+//! lands in a slot indexed by submission order, so the output is
+//! deterministic and independent of scheduling, thread count, and
+//! completion order.
 //!
-//! [`run_jobs`] is the one-shot batch driver; [`ServicePool`] is its
-//! long-lived sibling for the daemon: the same per-worker deques and
-//! stealing discipline, but workers persist across submissions, the queue
-//! is bounded (backpressure instead of unbounded growth), and
+//! [`ServicePool`] is its long-lived sibling for the daemon: workers
+//! persist across submissions and take items first-in, first-out from one
+//! bounded queue (backpressure instead of unbounded growth), and
 //! [`ServicePool::drain`] finishes queued work before the threads exit.
+//!
+//! No job spawns another and each runs for milliseconds, so a single
+//! ordered queue is enough to keep every worker busy.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Locks a mutex, recovering the guard if a panicking holder poisoned it.
 /// Every mutex in the engine guards state that stays structurally valid
 /// across a panic — pool queues, connection maps, cache tiers and
 /// counters — so a panic in one job or connection never wedges the rest.
 pub(crate) fn lock_poison_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs every item of `items` through `run` on `workers` threads and
-/// returns the results in submission order. `workers` is clamped to
-/// `1..=items.len()`; with one worker the pool degenerates to a sequential
-/// loop (no threads are spawned).
+/// returns the results in submission order. Items start in submission
+/// order too. `workers` is clamped to `1..=items.len()`; with one worker
+/// the pool degenerates to a sequential loop (no threads are spawned).
 pub fn run_jobs<T, R, F>(items: Vec<T>, workers: usize, run: F) -> Vec<R>
 where
     T: Send,
@@ -49,43 +48,32 @@ where
             .collect();
     }
 
-    // Round-robin seeding keeps the initial load balanced; stealing fixes
-    // whatever imbalance job runtimes introduce.
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        lock_poison_ok(&queues[i % workers]).push_back((i, item));
-    }
+    let cursor = Mutex::new(items.into_iter().enumerate());
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for me in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            let run = &run;
+            let (cursor, results, run) = (&cursor, &results, &run);
             // Named threads give trace spans (and debuggers) a stable
             // worker identity: spans recorded on this thread report
             // `weaver-worker-<n>` as their thread name.
             std::thread::Builder::new()
                 .name(format!("weaver-worker-{me}"))
-                .spawn_scoped(scope, move || loop {
-                    // Own deque first (front), then steal (back of the
-                    // fullest).
-                    let next = lock_poison_ok(&queues[me]).pop_front();
-                    let (index, item) = match next.or_else(|| steal(queues, me)) {
-                        Some(job) => job,
-                        None => {
-                            // Must happen inside the closure: the scope
-                            // unblocks before this thread's TLS destructors
-                            // run, so a drop-time flush could lose the last
-                            // buffered spans to a caller draining the trace
-                            // right after the batch returns.
-                            weaver_obs::span::flush_thread();
-                            return;
-                        }
-                    };
-                    let result = run(index, item);
-                    *lock_poison_ok(&results[index]) = Some(result);
+                .spawn_scoped(scope, move || {
+                    loop {
+                        // A statement of its own, so the cursor is
+                        // unlocked while the job runs.
+                        let next = lock_poison_ok(cursor).next();
+                        let Some((index, item)) = next else { break };
+                        let result = run(index, item);
+                        *lock_poison_ok(&results[index]) = Some(result);
+                    }
+                    // Must happen inside the closure: the scope unblocks
+                    // before this thread's TLS destructors run, so a
+                    // drop-time flush could lose the last buffered spans
+                    // to a caller draining the trace right after the batch
+                    // returns.
+                    weaver_obs::span::flush_thread();
                 })
                 .expect("spawn batch worker");
         }
@@ -95,34 +83,11 @@ where
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("every job ran exactly once")
         })
         .collect()
 }
-
-/// Steals one item from the back of the fullest deque other than `me`.
-/// The caller must not hold any queue's guard: two workers that each held
-/// their own while stealing from the other would wait on each other.
-fn steal<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
-    let mut victim: Option<usize> = None;
-    let mut longest = 0usize;
-    for (w, queue) in queues.iter().enumerate() {
-        if w == me {
-            continue;
-        }
-        let len = lock_poison_ok(queue).len();
-        if len > longest {
-            longest = len;
-            victim = Some(w);
-        }
-    }
-    lock_poison_ok(&queues[victim?]).pop_back()
-}
-
-// ---------------------------------------------------------------------------
-// The persistent service pool
-// ---------------------------------------------------------------------------
 
 /// Why [`ServicePool::submit`] rejected an item; the item is handed back so
 /// the caller can report structured backpressure instead of losing it.
@@ -134,30 +99,42 @@ pub enum SubmitError<T> {
     ShuttingDown(T),
 }
 
+/// The queue and the stop flag share one lock, so no submit can land after
+/// a worker has seen "stopped and empty" and exited.
+struct Queue<T> {
+    items: VecDeque<T>,
+    stop: bool,
+}
+
 struct ServiceInner<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-    /// Items pushed but not yet popped by a worker (the bounded quantity).
-    queued: AtomicUsize,
+    queue: Mutex<Queue<T>>,
     bound: usize,
-    rr: AtomicUsize,
-    stop: AtomicBool,
-    /// Wakes idle workers on submit and drain. The gate mutex carries no
-    /// data: `queued`/`stop` are re-checked under it so a notify between
-    /// check and wait cannot be missed.
-    gate: Mutex<()>,
+    /// Signalled on every submit and on drain.
     available: Condvar,
 }
 
-/// A long-lived work-stealing pool: `workers` persistent threads service a
-/// bounded multi-queue of submitted items. Same stealing discipline as
-/// [`run_jobs`]; unlike it, the pool outlives any one batch, so the daemon
-/// keeps its caches hot across requests.
+impl<T> ServiceInner<T> {
+    /// The oldest queued item, blocking while the queue is empty; `None`
+    /// once the pool is stopping and nothing is left.
+    fn next(&self) -> Option<T> {
+        let queue = lock_poison_ok(&self.queue);
+        self.available
+            .wait_while(queue, |q| q.items.is_empty() && !q.stop)
+            .unwrap_or_else(PoisonError::into_inner)
+            .items
+            .pop_front()
+    }
+}
+
+/// A long-lived pool: `workers` persistent threads service one bounded
+/// first-in, first-out queue of submitted items. Unlike [`run_jobs`], the
+/// pool outlives any one batch, so the daemon keeps its caches hot across
+/// requests.
 ///
 /// Results travel through whatever channel the `run` closure captures (the
 /// server hands each item a reply sender) — the pool itself only schedules.
 pub struct ServicePool<T> {
     inner: Arc<ServiceInner<T>>,
-    run: Arc<dyn Fn(T) + Send + Sync>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -169,92 +146,73 @@ impl<T: Send + 'static> ServicePool<T> {
     where
         F: Fn(T) + Send + Sync + 'static,
     {
-        let workers = workers.max(1);
         let inner = Arc::new(ServiceInner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                stop: false,
+            }),
             bound: bound.max(1),
-            rr: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            gate: Mutex::new(()),
             available: Condvar::new(),
         });
-        let run: Arc<dyn Fn(T) + Send + Sync> = Arc::new(run);
-        let mut handles = Vec::with_capacity(workers);
-        for me in 0..workers {
-            let inner = inner.clone();
-            let run = run.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("weaver-service-{me}"))
-                .spawn(move || service_worker(me, &inner, &*run))
-                .expect("spawn service worker");
-            handles.push(handle);
-        }
+        let run = Arc::new(run);
+        let handles = (0..workers.max(1))
+            .map(|me| {
+                let (inner, run) = (inner.clone(), run.clone());
+                std::thread::Builder::new()
+                    .name(format!("weaver-service-{me}"))
+                    .spawn(move || {
+                        while let Some(item) = inner.next() {
+                            run(item);
+                        }
+                        // Flush buffered trace spans before the thread
+                        // exits (same reasoning as the batch workers).
+                        weaver_obs::span::flush_thread();
+                    })
+                    .expect("spawn service worker")
+            })
+            .collect();
         ServicePool {
             inner,
-            run,
             handles: Mutex::new(handles),
         }
     }
+}
 
+impl<T> ServicePool<T> {
     /// Enqueues `item`, or returns it inside a [`SubmitError`] when the
     /// pool is at its bound or draining.
     pub fn submit(&self, item: T) -> Result<(), SubmitError<T>> {
-        if self.inner.stop.load(Ordering::SeqCst) {
+        let mut queue = lock_poison_ok(&self.inner.queue);
+        if queue.stop {
             return Err(SubmitError::ShuttingDown(item));
         }
-        // Reserve a queue slot before pushing so concurrent submitters
-        // cannot overshoot the bound.
-        let mut depth = self.inner.queued.load(Ordering::SeqCst);
-        loop {
-            if depth >= self.inner.bound {
-                return Err(SubmitError::Full(item));
-            }
-            match self.inner.queued.compare_exchange(
-                depth,
-                depth + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(current) => depth = current,
-            }
+        if queue.items.len() >= self.inner.bound {
+            return Err(SubmitError::Full(item));
         }
-        let w = self.inner.rr.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
-        lock_poison_ok(&self.inner.queues[w]).push_back(item);
-        let _gate = lock_poison_ok(&self.inner.gate);
+        queue.items.push_back(item);
+        drop(queue);
         self.inner.available.notify_one();
         Ok(())
     }
 
     /// Items queued but not yet picked up by a worker.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queued.load(Ordering::SeqCst)
+        lock_poison_ok(&self.inner.queue).items.len()
     }
 
     /// Whether [`ServicePool::drain`] has started.
     pub fn is_draining(&self) -> bool {
-        self.inner.stop.load(Ordering::SeqCst)
+        lock_poison_ok(&self.inner.queue).stop
     }
 
     /// Stops accepting new work, finishes everything already queued, and
     /// joins the worker threads. Idempotent.
     pub fn drain(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _gate = lock_poison_ok(&self.inner.gate);
-            self.inner.available.notify_all();
-        }
+        lock_poison_ok(&self.inner.queue).stop = true;
+        self.inner.available.notify_all();
         let handles = std::mem::take(&mut *lock_poison_ok(&self.handles));
         for handle in handles {
             let _ = handle.join();
-        }
-        // A submit racing the shutdown can slip an item in after the
-        // workers observed empty queues and exited; run it inline so every
-        // accepted item is serviced.
-        while let Some(item) = pop_any(&self.inner.queues) {
-            self.inner.queued.fetch_sub(1, Ordering::SeqCst);
-            (self.run)(item);
         }
     }
 }
@@ -263,51 +221,8 @@ impl<T> Drop for ServicePool<T> {
     fn drop(&mut self) {
         // Workers hold `Arc<ServiceInner>`, so without a drain they would
         // outlive the handle and idle forever.
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _gate = lock_poison_ok(&self.inner.gate);
-            self.inner.available.notify_all();
-        }
-        let handles = std::mem::take(&mut *lock_poison_ok(&self.handles));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.drain();
     }
-}
-
-fn service_worker<T>(me: usize, inner: &ServiceInner<T>, run: &(dyn Fn(T) + Send + Sync)) {
-    loop {
-        // Own deque first, in a statement of its own so its guard is
-        // dropped before `steal` locks the others.
-        let next = lock_poison_ok(&inner.queues[me]).pop_front();
-        match next.or_else(|| steal(&inner.queues, me)) {
-            Some(item) => {
-                inner.queued.fetch_sub(1, Ordering::SeqCst);
-                run(item);
-            }
-            None => {
-                if inner.stop.load(Ordering::SeqCst) {
-                    // Flush buffered trace spans before the thread exits
-                    // (same reasoning as the batch workers above).
-                    weaver_obs::span::flush_thread();
-                    return;
-                }
-                let gate = lock_poison_ok(&inner.gate);
-                if inner.queued.load(Ordering::SeqCst) == 0 && !inner.stop.load(Ordering::SeqCst) {
-                    // Timeout is a backstop against a lost wakeup, not the
-                    // scheduling mechanism.
-                    let _ = inner
-                        .available
-                        .wait_timeout(gate, Duration::from_millis(100));
-                }
-            }
-        }
-    }
-}
-
-/// Pops one item from any non-empty deque.
-fn pop_any<T>(queues: &[Mutex<VecDeque<T>>]) -> Option<T> {
-    queues.iter().find_map(|q| lock_poison_ok(q).pop_front())
 }
 
 #[cfg(test)]
@@ -315,6 +230,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn results_are_in_submission_order() {
@@ -347,6 +263,31 @@ mod tests {
     fn empty_batch_returns_empty() {
         let out = run_jobs(Vec::<u32>::new(), 4, |_, item| item);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn run_jobs_starts_jobs_in_submission_order() {
+        // Item 0 holds its worker until items 1–3 have started, so those
+        // run one after another on the other worker, in the order it takes
+        // them from the queue; item 0 returns the order they reported.
+        let (started_tx, started_rx) = mpsc::channel();
+        let started_rx = Mutex::new(started_rx);
+        let out = run_jobs((0..4).collect::<Vec<usize>>(), 2, |_, item| {
+            if item == 0 {
+                let started_rx = lock_poison_ok(&started_rx);
+                (1..4)
+                    .map(|_| {
+                        started_rx
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("items 1–3 start while item 0 runs")
+                    })
+                    .collect()
+            } else {
+                started_tx.send(item).unwrap();
+                Vec::new()
+            }
+        });
+        assert_eq!(out[0], vec![1, 2, 3]);
     }
 
     #[test]
@@ -421,55 +362,41 @@ mod tests {
     }
 
     #[test]
-    fn a_stealing_service_worker_does_not_hold_its_own_queue() {
-        // Regression: a worker used to pop its own deque and steal in one
-        // statement, keeping its own queue's guard while it locked the
-        // other's, so two idle workers stealing at once waited on each
-        // other forever. Here the test plays the second worker: it holds
-        // the other queue while the first finishes its item and goes to
-        // steal, and meanwhile keeps taking the first worker's queue.
+    fn service_pool_serves_while_a_worker_is_blocked() {
+        // The first item blocks its worker until released; the second,
+        // submitted once the first has started (so the other worker is
+        // idle, waiting for a wakeup), must still be served.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
         let (done_tx, done_rx) = mpsc::channel();
-        let test = std::thread::spawn(move || {
-            let (started_tx, started_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel::<()>();
-            let release_rx = Mutex::new(release_rx);
-            let pool = ServicePool::new(2, 8, move |()| {
-                let name = std::thread::current().name().map(str::to_owned);
-                started_tx.send(name).unwrap();
+        let pool = ServicePool::new(2, 8, move |item: usize| {
+            if item == 0 {
+                started_tx.send(()).unwrap();
                 lock_poison_ok(&release_rx).recv().unwrap();
-            });
-            pool.submit(()).unwrap();
-            let me = match started_rx.recv().unwrap().as_deref() {
-                Some("weaver-service-0") => 0,
-                Some("weaver-service-1") => 1,
-                other => panic!("unexpected worker thread {other:?}"),
-            };
-            let other_queue = lock_poison_ok(&pool.inner.queues[1 - me]);
-            release_tx.send(()).unwrap();
-            // The worker now finds its deque empty and blocks stealing
-            // from the queue held here. Its own queue must stay free all
-            // the while: keep taking it, yielding so the worker gets to
-            // run between attempts.
-            for _ in 0..10_000 {
-                drop(lock_poison_ok(&pool.inner.queues[me]));
-                std::thread::yield_now();
             }
-            drop(other_queue);
-            pool.drain();
-            done_tx.send(()).unwrap();
+            done_tx.send(item).unwrap();
         });
-        // A deadlocked test thread never signals; it is not joined then.
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a stealing worker kept its own queue locked");
-        test.join().unwrap();
+        pool.submit(0).unwrap();
+        let started = started_rx.recv_timeout(Duration::from_secs(10));
+        pool.submit(1).unwrap();
+        let served = done_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        pool.drain();
+        assert_eq!(started, Ok(()), "an idle pool must start a submitted item");
+        assert_eq!(
+            served,
+            Ok(1),
+            "an idle worker must serve the queue while another is blocked"
+        );
+        assert_eq!(done_rx.try_recv(), Ok(0));
     }
 
     #[test]
-    fn idle_workers_steal_queued_jobs() {
-        // Job 0 pins worker 0 for 300 ms. Jobs 2,4,6,8 sit behind it in
-        // worker 0's deque, so they can only finish before job 0 does if
-        // the other worker steals them.
+    fn idle_workers_take_queued_jobs() {
+        // Job 0 pins one worker for 300 ms. Jobs 1–8 queue behind it, so
+        // they can only finish before job 0 does if the other worker takes
+        // them.
         let done = AtomicUsize::new(0);
         let observed = run_jobs((0..9).collect::<Vec<usize>>(), 2, |i, _| {
             if i == 0 {
@@ -482,7 +409,7 @@ mod tests {
         });
         assert_eq!(
             observed[0], 8,
-            "all queued jobs must have been stolen and finished while job 0 slept"
+            "all queued jobs must have been taken and finished while job 0 slept"
         );
     }
 }

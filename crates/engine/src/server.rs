@@ -341,7 +341,6 @@ struct Queued {
 
 struct Shared {
     engine: Engine,
-    draining: AtomicBool,
     shutdown: Arc<AtomicBool>,
     seq: AtomicU64,
     conns: Mutex<HashMap<u64, Stream>>,
@@ -371,7 +370,6 @@ impl Server {
         let workers = engine.workers();
         let shared = Arc::new(Shared {
             engine,
-            draining: AtomicBool::new(false),
             shutdown: Arc::new(AtomicBool::new(false)),
             seq: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
@@ -476,7 +474,6 @@ impl Server {
         // stream out through the per-connection writers), then unblock the
         // readers so the connection threads exit.
         log::info("weaver-server", "draining");
-        self.shared.draining.store(true, Ordering::SeqCst);
         self.pool.drain();
         for conn in lock_poison_ok(&self.shared.conns).values() {
             let _ = conn.shutdown_read();
@@ -677,14 +674,6 @@ fn handle_compile(
             return;
         }
     };
-    if shared.draining.load(Ordering::SeqCst) {
-        let _ = reply.send(error_record(
-            Some(id),
-            "shutting-down",
-            "server is draining",
-        ));
-        return;
-    }
     let queued = Queued {
         id,
         index: shared.seq.fetch_add(1, Ordering::Relaxed) as usize,
@@ -821,7 +810,7 @@ fn stats_record(shared: &Shared, pool: &ServicePool<Queued>, id: Option<u64>) ->
         .u64("queue_depth", pool.queue_depth() as u64)
         .u64("queue_bound", shared.queue_bound as u64)
         .u64("workers", shared.engine.workers() as u64)
-        .bool("draining", shared.draining.load(Ordering::SeqCst))
+        .bool("draining", pool.is_draining())
         .raw("cache", &cache)
         .raw("store", &store)
         .str("metrics", &metrics::snapshot())

@@ -40,13 +40,13 @@
 //! `sc:grid:4x5`, minted on demand. Circuit workloads compile on
 //! circuit-capable targets only (simulator, superconducting, `sc:*`).
 //! Batch mode compiles a whole fixture directory or manifest through
-//! `weaver-engine`: jobs run on a work-stealing pool, finished artifacts
-//! land in a content-addressed cache, and results stream as JSONL (each
-//! successful record carrying the per-pass timing trace). `weaverc
-//! submit` is the client half of the `weaverd` compile daemon: workloads
-//! are read and their frontends resolved locally, then shipped inline
-//! over the framed JSON protocol to `--server` and the streamed results
-//! are printed exactly like a local batch (a single workload file
+//! `weaver-engine`: workers take jobs in manifest order, finished
+//! artifacts land in a content-addressed cache, and results stream as
+//! JSONL (each successful record carrying the per-pass timing trace).
+//! `weaverc submit` is the client half of the `weaverd` compile daemon:
+//! workloads are read and their frontends resolved locally, then shipped
+//! inline over the framed JSON protocol to `--server` and the streamed
+//! results are printed exactly like a local batch (a single workload file
 //! behaves like single-shot mode, writing the compiled wQasm to `--out`
 //! or stdout); `weaverc admin` sends one control verb — `ping`, `stats`
 //! (queue, cache tiers, store introspection, and the daemon's full

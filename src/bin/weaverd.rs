@@ -8,9 +8,10 @@
 //!
 //! Wraps [`weaver::engine::server::Server`]: compile jobs arrive over a
 //! length-prefixed JSON protocol (`weaverc submit --server <addr>` is the
-//! client), run on the engine's work-stealing pool, and stream back as
-//! they finish, with the in-memory LRU and the paged disk store staying
-//! hot across requests. SIGTERM or SIGINT (or a client `shutdown` verb)
+//! client), wait in one bounded first-in, first-out queue for the
+//! engine's workers, and stream back as they finish, with the in-memory
+//! LRU and the paged disk store staying hot across requests. SIGTERM or
+//! SIGINT (or a client `shutdown` verb)
 //! drains gracefully: queued jobs finish, responses flush, the socket is
 //! released, and the process exits 0.
 

@@ -1,5 +1,5 @@
 //! Conformance tests for the `weaver-obs` observability layer: span
-//! nesting across the work-stealing pool with worker-thread attribution,
+//! nesting across the engine's worker pool with worker-thread attribution,
 //! Chrome-trace and JSONL export shape (validated with
 //! `JsonValue::parse`, the parser the daemon uses for untrusted input),
 //! metrics snapshot round-trips, disabled-tracing overhead, and a
