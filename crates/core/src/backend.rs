@@ -93,7 +93,7 @@ use crate::coloring::ClauseColoring;
 use crate::frontend::Workload;
 use crate::pipeline::{Metrics, Weaver};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use weaver_circuit::{native, Circuit, NativeBasis};
 use weaver_sat::{qaoa, Formula};
@@ -633,8 +633,9 @@ impl Backend for FpqaBackend {
         })
     }
 
-    /// Runs the wChecker, comparing against the QAOA reference circuit
-    /// when the register is small enough for the unitary check.
+    /// Runs the wChecker, checking equivalence with the QAOA reference
+    /// circuit when the register is small enough
+    /// (≤ [`UnitaryBuilder::MAX_QUBITS`] qubits).
     fn verify(
         &self,
         weaver: &Weaver,
@@ -1037,7 +1038,8 @@ impl Backend for SimulatorBackend {
 /// A name → [`Backend`] table: the single place a target plugs into the
 /// compiler. Lookups match the primary name or any alias;
 /// [`BackendRegistry::resolve`] additionally mints `sc:*` device-family
-/// backends from parameterized names (`sc:grid:<w>x<h>`).
+/// backends from parameterized names (`sc:grid:<w>x<h>`) and keeps the
+/// [`MINTED_CAPACITY`] most recently resolved ones.
 ///
 /// # Examples
 ///
@@ -1071,13 +1073,22 @@ impl Backend for SimulatorBackend {
 /// ```
 pub struct BackendRegistry {
     backends: Vec<Arc<dyn Backend>>,
+    /// Backends minted by [`BackendRegistry::resolve`], keyed by canonical
+    /// name, least recently resolved first.
+    minted: Mutex<Vec<(String, Arc<dyn Backend>)>>,
 }
+
+/// How many minted device-family backends a registry keeps. Each holds its
+/// coupling map's all-pairs distance table (67 MB at the largest grid,
+/// 64×64), so a stream of distinct grid names holds at most this many.
+pub const MINTED_CAPACITY: usize = 4;
 
 impl BackendRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         BackendRegistry {
             backends: Vec::new(),
+            minted: Mutex::new(Vec::new()),
         }
     }
 
@@ -1126,6 +1137,8 @@ impl BackendRegistry {
     /// first, then the parameterized `sc:*` namespace — `sc:grid:<w>x<h>`
     /// mints a [`SuperconductingBackend`] for that lattice on demand, so
     /// the device family is an open-ended axis rather than a fixed table.
+    /// The [`MINTED_CAPACITY`] most recently resolved minted backends are
+    /// kept, so a batch of jobs on one grid builds its distance table once.
     ///
     /// # Errors
     ///
@@ -1135,10 +1148,37 @@ impl BackendRegistry {
     pub fn resolve(&self, name: &str) -> Result<Arc<dyn Backend>, BackendError> {
         match self.entry(name) {
             Some(backend) => Ok(backend.clone()),
-            None => Ok(Arc::new(SuperconductingBackend::for_device(
-                &self.device_spec(name)?,
-            ))),
+            None => Ok(self.mint(&self.device_spec(name)?)),
         }
+    }
+
+    /// The kept backend of `spec`, or a newly minted one that evicts the
+    /// least recently resolved entry once [`MINTED_CAPACITY`] are kept.
+    fn mint(&self, spec: &DeviceSpec) -> Arc<dyn Backend> {
+        let name = spec.full_name();
+        let hit = |minted: &mut Vec<(String, Arc<dyn Backend>)>| {
+            let at = minted.iter().position(|(n, _)| *n == name)?;
+            let entry = minted.remove(at);
+            let backend = entry.1.clone();
+            minted.push(entry);
+            Some(backend)
+        };
+        let lock = || self.minted.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(backend) = hit(&mut lock()) {
+            return backend;
+        }
+        // Build outside the lock: a 64×64 grid's distance table takes
+        // ~0.15 s, which must not stall workers resolving other names.
+        let fresh: Arc<dyn Backend> = Arc::new(SuperconductingBackend::for_device(spec));
+        let mut minted = lock();
+        if let Some(backend) = hit(&mut minted) {
+            return backend;
+        }
+        if minted.len() == MINTED_CAPACITY {
+            minted.remove(0);
+        }
+        minted.push((name, fresh.clone()));
+        fresh
     }
 
     /// The primary name of the backend [`BackendRegistry::resolve`] would
@@ -1241,7 +1281,7 @@ mod tests {
         let grid = registry.resolve("sc:grid:4x5").unwrap();
         assert_eq!(grid.info().name, "sc:grid:4x5");
         assert_eq!(grid.info().max_qubits, Some(20));
-        // Not registered — minted per resolution, equal across calls.
+        // Not registered — minted on first resolution, then kept.
         assert!(registry.get("sc:grid:4x5").is_none());
         let again = registry.resolve("sc:grid:4x5").unwrap();
         assert_eq!(again.info().name, grid.info().name);
@@ -1257,6 +1297,33 @@ mod tests {
         }
         let err = registry.resolve("sc:osprey").err().expect("must fail");
         assert!(err.message.contains("known devices"), "{}", err.message);
+    }
+
+    #[test]
+    fn resolve_keeps_recently_minted_backends() {
+        let registry = BackendRegistry::with_default_targets();
+        let grid = registry.resolve("sc:grid:32x32").unwrap();
+        assert!(Arc::ptr_eq(
+            &grid,
+            &registry.resolve("sc:grid:32x32").unwrap()
+        ));
+        // Keyed by canonical name; transposed lattices are other devices.
+        let wide = registry.resolve("sc:grid:4x5").unwrap();
+        assert!(Arc::ptr_eq(
+            &wide,
+            &registry.resolve("sc:grid:04x5").unwrap()
+        ));
+        let tall = registry.resolve("sc:grid:5x4").unwrap();
+        assert!(!Arc::ptr_eq(&wide, &tall));
+        assert_eq!(tall.info().name, "sc:grid:5x4");
+        // Pushed out by MINTED_CAPACITY + 1 other names, it comes back as
+        // a fresh backend.
+        for w in 1..=MINTED_CAPACITY + 1 {
+            registry.resolve(&format!("sc:grid:{w}x7")).unwrap();
+        }
+        let fresh = registry.resolve("sc:grid:32x32").unwrap();
+        assert!(!Arc::ptr_eq(&grid, &fresh));
+        assert_eq!(fresh.info().name, "sc:grid:32x32");
     }
 
     #[test]

@@ -289,7 +289,7 @@ mod tests {
         let fpqa = weaver.compile_workload("fpqa", &formula).unwrap();
         let report = weaver.verify(&fpqa, &formula).expect("fpqa has a checker");
         assert!(report.passed(), "{:?}", report.errors);
-        assert!(report.unitary_checked);
+        assert!(report.equivalence_checked);
         // Targets without a checker have no verdict.
         for target in ["sc:eagle", "simulator"] {
             let out = weaver.compile_workload(target, &formula).unwrap();

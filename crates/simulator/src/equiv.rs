@@ -2,8 +2,9 @@
 //!
 //! Two circuits are functionally equivalent iff their unitaries `A` and `B`
 //! satisfy `A = e^{iφ}·B` for some real φ — global phase is unobservable.
-//! This module provides the comparison primitive used by the wChecker (§6 of
-//! the paper) together with a process-fidelity diagnostic.
+//! This module provides the comparison primitives used by the wChecker (§6
+//! of the paper) — on whole unitaries and on the amplitudes of simulated
+//! stimuli — together with a process-fidelity diagnostic.
 
 use crate::{Complex, Matrix};
 
@@ -49,22 +50,44 @@ pub fn compare(a: &Matrix, b: &Matrix, tol: f64) -> Equivalence {
     if a.rows() != b.rows() || a.cols() != b.cols() || !a.is_square() {
         return Equivalence::ShapeMismatch;
     }
-    // Find the entry of largest magnitude in b to anchor the phase estimate
-    // (avoids dividing by a numerically tiny entry).
-    let mut best = (0usize, 0usize);
+    compare_amplitudes(a.as_slice(), b.as_slice(), b.as_slice().len(), tol)
+}
+
+/// Compares two amplitude vectors up to one global phase with entry-wise
+/// tolerance `tol`. The phase is read off the largest-magnitude entry of
+/// `b[..anchor]` (dividing by a numerically tiny entry would amplify its
+/// rounding); if that whole prefix is numerically zero, `b` counts as zero
+/// and the vectors are equal only if `a` is too. [`compare`] anchors on
+/// the whole matrix; the wChecker anchors on its first stimulus.
+///
+/// Returns [`Equivalence::ShapeMismatch`] if the lengths differ.
+///
+/// # Examples
+///
+/// ```
+/// use weaver_simulator::{equiv, Complex};
+/// let b = [Complex::ONE, Complex::I, Complex::new(0.6, 0.8)];
+/// let a: Vec<Complex> = b.iter().map(|&z| z * Complex::from_polar(0.5)).collect();
+/// assert!(equiv::compare_amplitudes(&a, &b, 1, 1e-12).is_equivalent());
+/// ```
+pub fn compare_amplitudes(a: &[Complex], b: &[Complex], anchor: usize, tol: f64) -> Equivalence {
+    if a.len() != b.len() {
+        return Equivalence::ShapeMismatch;
+    }
+    // Find the entry of largest magnitude in the anchor range of b to
+    // anchor the phase estimate.
+    let mut best = 0usize;
     let mut best_mag = -1.0;
-    for r in 0..b.rows() {
-        for c in 0..b.cols() {
-            let m = b[(r, c)].norm_sqr();
-            if m > best_mag {
-                best_mag = m;
-                best = (r, c);
-            }
+    for (i, z) in b[..anchor.min(b.len())].iter().enumerate() {
+        let m = z.norm_sqr();
+        if m > best_mag {
+            best_mag = m;
+            best = i;
         }
     }
     if best_mag <= tol * tol {
         // b is numerically zero; equal only if a is too.
-        let dev = a.frobenius_norm();
+        let dev = a.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         return if dev <= tol {
             Equivalence::EquivalentUpToPhase {
                 phase: 0.0,
@@ -77,12 +100,11 @@ pub fn compare(a: &Matrix, b: &Matrix, tol: f64) -> Equivalence {
     let ratio = a[best] / b[best];
     let phase = ratio.arg();
     // Deviation after phase alignment, computed entry-wise without
-    // materializing the rotated matrix.
+    // materializing the rotated vector.
     let w = Complex::from_polar(phase);
     let max_deviation = a
-        .as_slice()
         .iter()
-        .zip(b.as_slice())
+        .zip(b)
         .map(|(x, y)| (*x - *y * w).abs())
         .fold(0.0, f64::max);
     if max_deviation <= tol {

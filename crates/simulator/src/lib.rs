@@ -14,8 +14,8 @@
 //!   by [`State`] and [`UnitaryBuilder`],
 //! * [`UnitaryBuilder`] — materializes whole-register unitaries by fusing
 //!   the gate sequence into a short plan of kernel passes,
-//! * [`equiv`] — global-phase-insensitive unitary comparison used by the
-//!   wChecker (paper §6).
+//! * [`equiv`] — global-phase-insensitive comparison of unitaries and of
+//!   amplitude vectors, used by the wChecker (paper §6).
 //!
 //! # Example
 //!

@@ -1,5 +1,5 @@
 //! Dense complex matrices sized for unitary-level reasoning about small
-//! quantum circuits (the wChecker's unitary pass operates on ≤ 13 qubits).
+//! quantum circuits (`UnitaryBuilder` builds them up to 13 qubits).
 
 use crate::Complex;
 use std::fmt;

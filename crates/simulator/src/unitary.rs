@@ -1,5 +1,7 @@
 //! Construction of full-register unitaries from sequences of gate
-//! applications, used by the wChecker's unitary-equivalence pass.
+//! applications, behind `Circuit::unitary`: Geyser's block synthesis and
+//! the test oracles use it. The wChecker does not; it compares circuits on
+//! random stimuli in O(2ⁿ) memory.
 
 use crate::kernels::{self, Kernel};
 use crate::{Complex, Matrix};
@@ -60,8 +62,9 @@ pub struct UnitaryBuilder {
 
 impl UnitaryBuilder {
     /// Largest register the builder materializes. The result holds `4ⁿ`
-    /// complex doubles (1 GiB at 13 qubits); the checker falls back to
-    /// structural comparison beyond this size.
+    /// complex doubles (1 GiB at 13 qubits). The wChecker's stimulus check
+    /// runs up to the same register size, and checks only pulses and
+    /// motions beyond it.
     pub const MAX_QUBITS: usize = 13;
 
     /// Starts from the identity on `num_qubits` qubits.

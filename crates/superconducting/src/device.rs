@@ -278,14 +278,19 @@ impl DeviceSpec {
 
     /// Expands the topology into a coupling map.
     ///
-    /// Maps are memoized process-globally by canonical device name (the
-    /// same pattern the backend registry uses), so a batch that compiles a
-    /// thousand `sc:eagle` jobs expands the heavy-hex lattice and runs the
-    /// all-pairs BFS exactly once; every further call is a cache hit that
-    /// clones an [`Arc`](std::sync::Arc). The cache key is
-    /// [`DeviceSpec::full_name`], which
-    /// is canonical even for alias-resolved and minted grid devices.
+    /// The built-in devices' maps are memoized process-globally by
+    /// canonical device name ([`DeviceSpec::full_name`], which alias
+    /// resolution lands on), so a batch that compiles a thousand `sc:eagle`
+    /// jobs expands the heavy-hex lattice and runs the all-pairs BFS exactly
+    /// once; every further call is a cache hit that clones an
+    /// [`Arc`](std::sync::Arc). A parameterized `sc:grid:<w>x<h>` map is
+    /// expanded on every call: such names are unbounded, so a memo of them
+    /// would only grow. The backend registry keeps its few most recently
+    /// minted grid backends instead.
     pub fn coupling(&self) -> CouplingMap {
+        if !DeviceSpec::builtin().iter().any(|d| d.name == self.name) {
+            return self.expand_topology();
+        }
         static CACHE: OnceLock<Mutex<HashMap<String, CouplingMap>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let key = self.full_name();

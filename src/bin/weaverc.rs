@@ -1123,17 +1123,20 @@ fn run_single(args: &Args) -> ExitCode {
     if args.check {
         match weaver.verify(&output, &workload) {
             Some(report) if report.passed() => {
-                let unitary = if report.unitary_checked {
-                    "unitary compared".to_string()
+                let equivalence = if report.equivalence_checked {
+                    format!(
+                        "equivalence checked on {} random stimuli",
+                        weaver::core::checker::STIMULI
+                    )
                 } else {
                     let qubits = report.reconstructed.as_ref().map_or(0, |c| c.num_qubits());
                     format!(
-                        "unitary skipped: {qubits} > {} qubits",
+                        "equivalence skipped: {qubits} > {} qubits",
                         weaver::simulator::UnitaryBuilder::MAX_QUBITS
                     )
                 };
                 eprintln!(
-                    "weaverc: wChecker PASS ({} pulses, {} motions checked, {unitary})",
+                    "weaverc: wChecker PASS ({} pulses, {} motions checked, {equivalence})",
                     report.pulses_checked, report.motions_checked
                 );
             }

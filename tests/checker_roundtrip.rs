@@ -1,8 +1,9 @@
 //! The wChecker workflow of paper Fig. 9, plus randomized fault injection:
 //! every mutation of a valid program must either be caught by the checker
-//! or be semantically harmless (which the unitary check decides), and every
+//! or be semantically harmless (which the equivalence check decides), every
 //! mutation of the reference circuit must get the verdict of an
-//! independently built unitary comparison.
+//! independently built unitary comparison, and a shift of ten tolerances in
+//! one angle must be caught at every register size.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,7 +14,7 @@ use weaver::sat::{qaoa, Formula};
 use weaver::simulator::{equiv, Matrix, State};
 use weaver::wqasm::{Annotation, Statement};
 
-/// The checker's unitary-comparison tolerance.
+/// The checker's equivalence tolerance.
 const CHECK_TOL: f64 = 1e-7;
 
 /// The FPQA compilation of `formula` under default options.
@@ -26,7 +27,7 @@ fn compile_fpqa(formula: &Formula) -> CompiledFpqa {
 }
 
 fn compile_small(variant: usize) -> (Formula, CompiledFpqa) {
-    // 8 variables keeps the full unitary check in play.
+    // 8 variables keeps the equivalence check in play.
     let formula = weaver::sat::generator::instance(8, variant);
     let result = compile_fpqa(&formula);
     (formula, result)
@@ -168,6 +169,8 @@ enum Mutation {
     ExtraGate,
     /// One RZ angle shifted.
     ShiftRz,
+    /// One RZ angle shifted by exactly ten tolerances, either way.
+    NudgeRz,
 }
 
 const MUTATIONS: [Mutation; 4] = [
@@ -253,12 +256,16 @@ fn mutate(reference: &Circuit, kind: Mutation, rng: &mut StdRng) -> Circuit {
             let at = rng.gen_range(0..=instrs.len());
             instrs.insert(at, extra);
         }
-        Mutation::ShiftRz => {
+        Mutation::ShiftRz | Mutation::NudgeRz => {
             let sites = (0..instrs.len())
                 .filter(|&i| matches!(instrs[i].gate, Gate::Rz(_)))
                 .collect();
             let i = pick(rng, sites);
-            let delta = rng.gen_range(1e-3..0.5) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let size = match kind {
+                Mutation::NudgeRz => 10.0 * CHECK_TOL,
+                _ => rng.gen_range(1e-3..0.5),
+            };
+            let delta = size * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
             if let Gate::Rz(theta) = instrs[i].gate {
                 instrs[i].gate = Gate::Rz(theta + delta);
             }
@@ -273,7 +280,7 @@ fn mutate(reference: &Circuit, kind: Mutation, rng: &mut StdRng) -> Circuit {
 
 /// Compiles `generator::instance(n, 1)` for every `n` in `sizes` and checks
 /// it against its reference and against one mutant of each kind. Every
-/// check must reach the unitary comparison; the unmutated reference must
+/// check must reach the equivalence check; the unmutated reference must
 /// pass, each mutant must get the verdict of the oracle (both unitaries
 /// built column by column through the seed apply loop), and each kind must
 /// be rejected at least once.
@@ -286,7 +293,7 @@ fn check_reference_mutants(sizes: std::ops::RangeInclusive<usize>) {
         let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
 
         let report = checker::check(&program, &params, Some(&reference));
-        assert!(report.unitary_checked, "{n} vars: comparison skipped");
+        assert!(report.equivalence_checked, "{n} vars: check skipped");
         assert!(report.passed(), "{n} vars: {:?}", report.errors);
         let reconstructed = per_column_unitary(&report.reconstructed.expect("reconstruction"));
 
@@ -296,8 +303,8 @@ fn check_reference_mutants(sizes: std::ops::RangeInclusive<usize>) {
             let oracle = equiv::compare(&reconstructed, &per_column_unitary(&mutant), CHECK_TOL);
             let report = checker::check(&program, &params, Some(&mutant));
             assert!(
-                report.unitary_checked,
-                "{n} vars, {kind:?}: comparison skipped"
+                report.equivalence_checked,
+                "{n} vars, {kind:?}: check skipped"
             );
             assert_eq!(
                 report.passed(),
@@ -318,11 +325,55 @@ fn reference_mutants_get_the_oracles_verdict() {
     check_reference_mutants(4..=7);
 }
 
-/// The same corpus at 8 and 9 variables, where the builder splits its
-/// rows into several blocks. The per-column oracle needs ~1.5 min in a
-/// debug build, so CI runs this in release.
+/// The same corpus at 8 to 10 variables. The per-column oracle needs
+/// minutes in a debug build, so CI runs this in release.
 #[test]
 #[ignore = "slow in debug; run with --release -- --include-ignored"]
-fn reference_mutants_get_the_oracles_verdict_at_8_and_9_vars() {
-    check_reference_mutants(8..=9);
+fn reference_mutants_get_the_oracles_verdict_at_8_to_10_vars() {
+    check_reference_mutants(8..=10);
+}
+
+/// An RZ shifted by ten tolerances is rejected at every size from 4 to 10
+/// variables. The stimuli are unit-modulus and unnormalized, so the shift
+/// moves the outputs by about 1e-6 at every size; an exact comparison of
+/// unitaries, whose entries shrink as 2^{−n/2}, accepts 2 of these six
+/// mutants at 9 variables and 5 at 10.
+#[test]
+fn rz_nudged_by_ten_tolerances_is_rejected() {
+    let params = FpqaParams::default();
+    for n in 4..=10 {
+        let formula = weaver::sat::generator::instance(n, 1);
+        let program = compile_fpqa(&formula).program;
+        let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        for _ in 0..6 {
+            let mutant = mutate(&reference, Mutation::NudgeRz, &mut rng);
+            let report = checker::check(&program, &params, Some(&mutant));
+            assert!(report.equivalence_checked, "{n} vars: check skipped");
+            assert!(!report.passed(), "{n} vars: a 1e-6 RZ shift passed");
+        }
+    }
+}
+
+/// The stimuli are seeded from the reference, never from the clock or the
+/// thread: checking twice, and from two threads at once, gives equal
+/// reports, error text on a mutant included.
+#[test]
+fn equivalence_reports_are_the_same_on_every_run_and_thread() {
+    let formula = weaver::sat::generator::instance(9, 1);
+    let program = compile_fpqa(&formula).program;
+    let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
+    let mutant = mutate(&reference, Mutation::NudgeRz, &mut StdRng::seed_from_u64(9));
+    let params = FpqaParams::default();
+    let check_both = || [&reference, &mutant].map(|r| checker::check(&program, &params, Some(r)));
+    let first = check_both();
+    assert!(first[0].passed(), "{:?}", first[0].errors);
+    assert!(first[1].errors[0].message.contains("4 random stimuli"));
+    assert_eq!(check_both(), first);
+    std::thread::scope(|s| {
+        let threads = [s.spawn(check_both), s.spawn(check_both)];
+        for thread in threads {
+            assert_eq!(thread.join().unwrap(), first);
+        }
+    });
 }

@@ -267,8 +267,11 @@ fn wcnf_and_maxcut_inputs_compile_single_shot() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("(weighted) [dimacs]"), "{stderr}");
     assert!(stderr.contains("wChecker PASS"), "{stderr}");
-    // Six variables: the full-unitary comparison runs, and the line says so.
-    assert!(stderr.contains("unitary compared)"), "{stderr}");
+    // Six variables: the equivalence check runs, and the line says so.
+    assert!(
+        stderr.contains("equivalence checked on 4 random stimuli)"),
+        "{stderr}"
+    );
 
     let mc = format!("{}/triangle.mc", fixtures_dir());
     let out = weaverc()

@@ -39,7 +39,7 @@ fn fpqa_compile_verify_roundtrip() {
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
     let report = weaver::core::checker::check(&reparsed, &FpqaParams::default(), Some(&reference));
     assert!(report.passed(), "{:?}", report.errors);
-    assert!(report.unitary_checked);
+    assert!(report.equivalence_checked);
 }
 
 #[test]
@@ -94,10 +94,11 @@ fn larger_sizes_compile_without_check_reference() {
     for &size in &[50usize, 75] {
         let workload = Workload::MaxSat(generator::instance(size, 1));
         let result = weaver.compile_workload("fpqa", &workload).unwrap();
-        // Pulse/motion-level verification still runs (no unitary at 50+).
+        // Pulse/motion-level verification still runs (no equivalence
+        // check at 50+).
         let report = weaver.verify(&result, &workload).unwrap();
         assert!(report.passed(), "size {size}: {:?}", report.errors);
-        assert!(!report.unitary_checked);
+        assert!(!report.equivalence_checked);
     }
 }
 
